@@ -9,6 +9,7 @@ yields a reproducible report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import statistics
 import sys
 import time
@@ -42,15 +43,9 @@ def run_portfolio(problem, seeds: int, base_seed: int, config: SearchConfig,
     evaluator = Evaluator(
         problem.rules, problem.input,
         output_relations=[d.name for d in problem.relations.values() if d.kind == "output"])
-    runners = []
-    for i in range(seeds):
-        cfg = SearchConfig(max_iters=config.max_iters, mcmc_period=config.mcmc_period,
-                           annealing_c=config.annealing_c, init_low=config.init_low,
-                           init_high=config.init_high,
-                           support_threshold=config.support_threshold,
-                           rng_seed=base_seed + i, timeout=config.timeout)
-        runners.append(SearchRunner(problem, cfg, evaluator,
-                                    trace(i) if trace is not None else None))
+    runners = [SearchRunner(problem, dataclasses.replace(config, rng_seed=base_seed + i),
+                            evaluator, trace(i) if trace is not None else None)
+               for i in range(seeds)]
 
     winner = None
     live = [r for r in runners if r.outcome is None]
@@ -163,7 +158,14 @@ def cmd_eval(args) -> int:
                 rid, _, value = line.partition("\t")
                 if rid not in problem.rules:
                     raise ProblemError(f"{args.weights}:{lineno}: unknown rule id {rid}")
-                weights[rid] = float(value)
+                try:
+                    weight = float(value)
+                except ValueError:
+                    raise ProblemError(
+                        f"{args.weights}:{lineno}: weight {value!r} is not a number") from None
+                if not 0.0 <= weight <= 1.0:  # also rejects NaN
+                    raise ProblemError(f"{args.weights}:{lineno}: weight {value} is not in [0, 1]")
+                weights[rid] = weight
         evaluator = Evaluator(
             problem.rules, problem.input,
             output_relations=[d.name for d in problem.relations.values()
@@ -260,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", type=int, default=None,
                        help="parallel search instances (default: available parallelism)")
         p.add_argument("--timeout", type=float, default=3600.0,
-                       help="per-instance timeout in seconds")
+                       help="per-instance timeout in seconds of search compute; "
+                            "parsing and grounding are not counted")
         p.add_argument("--max-iters", type=int, default=10_000)
         p.add_argument("--mcmc-period", type=int, default=30)
         p.add_argument("--base-seed", type=int, default=0)
@@ -299,11 +302,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _search_flag_error(args) -> str | None:
+    """Why the search flags are invalid, or None if they are valid."""
+    if args.seeds < 1:
+        return f"--seeds must be at least 1, got {args.seeds}"
+    if not args.timeout >= 0.0:  # also rejects NaN
+        return f"--timeout must be non-negative, got {args.timeout}"
+    if args.max_iters < 0:
+        return f"--max-iters must be non-negative, got {args.max_iters}"
+    if args.mcmc_period < 1:
+        return f"--mcmc-period must be at least 1, got {args.mcmc_period}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seeds", None) is None and args.command in ("synth", "bench"):
-        import os
-        args.seeds = os.cpu_count() or 1
+    if args.command in ("synth", "bench"):
+        if args.seeds is None:
+            import os
+            args.seeds = os.cpu_count() or 1
+        error = _search_flag_error(args)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     return args.func(args)
 
 

@@ -1,17 +1,24 @@
 """Datalog data model, text formats, grounding, and Boolean fixpoint evaluation.
 
-Constants are opaque interned strings.  Rules are pure positive Datalog:
-no negation, no arithmetic, and every head variable must occur in the body
-(range restriction).  All structures are immutable after construction and
+Constants are opaque strings.  Rules are pure positive Datalog: no
+negation, no arithmetic, and every head variable must occur in the body
+(range restriction).  One semi-naive, indexed kernel grounds a rule set: it
+derives the least fixpoint and emits every ground clause over it in one
+pass.  All structures are immutable after construction and
 safe to share across threads.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 Constant = str
 
@@ -258,63 +265,302 @@ class Problem(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Grounding and Boolean evaluation
+# Grounding and Boolean evaluation: one semi-naive, indexed kernel
 # ---------------------------------------------------------------------------
+#
+# Constants and relation names are interned as ints in sorted string order,
+# so interned facts sort exactly like ``Fact``s.  Each round joins every rule
+# once per body literal that can read the previous round's new facts (the
+# delta): literals left of it read only older facts, literals right of it read
+# all facts.  A clause is thus fired exactly once, in the round after its
+# newest antecedent arrived, and the rounds yield the least fixpoint together
+# with every ground clause over it.
 
-def _match_atom(atom: Atom, fact: Fact, binding: dict[str, Constant]) -> dict[str, Constant] | None:
-    new = None
-    for term, const in zip(atom.args, fact.args):
-        if isinstance(term, Const):
-            if term.value != const:
-                return None
-        else:
-            bound = binding.get(term) if new is None else new.get(term, binding.get(term))
-            if bound is None:
-                if new is None:
-                    new = dict(binding)
-                new[term] = const
-            elif bound != const:
-                return None
-    return binding if new is None else new
+_OLD, _DELTA, _ALL = range(3)
 
 
-def ground(rule: Rule, facts: Database) -> set[GroundClause]:
-    """All instantiations of ``rule`` whose body atoms all match facts."""
-    clauses: set[GroundClause] = set()
+def _key(positions: Sequence[int]) -> Callable[[tuple], object]:
+    """Index key at ``positions``: the bare value for one position, else a tuple."""
+    return itemgetter(*positions) if positions else (lambda t: ())
 
-    def extend(i: int, binding: dict[str, Constant], ants: list[Fact]):
-        if i == len(rule.body):
-            head_args = tuple(
-                a.value if isinstance(a, Const) else binding[a] for a in rule.head.args)
-            clauses.add(GroundClause(rule.id, tuple(ants), Fact(rule.head.relation, head_args)))
-            return
-        atom = rule.body[i]
-        for fact in facts.relation(atom.relation):
-            nb = _match_atom(atom, fact, binding)
-            if nb is not None:
-                ants.append(fact)
-                extend(i + 1, nb, ants)
-                ants.pop()
 
-    extend(0, {}, [])
-    return clauses
+def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The values at ``positions``, always as a tuple."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda t: (t[p],)
+    return _key(positions)
+
+
+class _Relation:
+    """The facts of one relation as interned argument tuples, in arrival order.
+
+    Fact ids grow in arrival order, so every index bucket is sorted by id and
+    the facts of a round's delta are a suffix of it.
+    """
+
+    __slots__ = ("ids", "facts", "indexes")
+
+    def __init__(self):
+        self.ids: dict[tuple[int, ...], int] = {}  # every fact ever derived, by args
+        self.facts: list[tuple[tuple[int, ...], int]] = []  # (args, id) joinable this round
+        self.indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
+
+    def index(self, positions: tuple[int, ...]) -> dict:
+        """Fact ids keyed by their values at ``positions``, built on first use."""
+        entry = self.indexes.get(positions)
+        if entry is None:
+            key = _key(positions)
+            buckets: dict = {}
+            for args, fid in self.facts:
+                buckets.setdefault(key(args), []).append(fid)
+            entry = self.indexes[positions] = (key, buckets)
+        return entry[1]
+
+    def extend(self, new: list[tuple[tuple[int, ...], int]]) -> None:
+        self.facts.extend(new)
+        for key, buckets in self.indexes.values():
+            for args, fid in new:
+                buckets.setdefault(key(args), []).append(fid)
+
+
+class _Step(NamedTuple):
+    """One body literal of a join plan."""
+
+    relation: str
+    positions: tuple[int, ...]         # argument positions bound on entry
+    key: Callable                      # binding -> index key at those positions
+    mode: int                          # _OLD, _DELTA or _ALL facts
+    equal: tuple[tuple[int, int], ...]  # positions that repeat a new variable
+    bind: Callable | None              # fact args -> values of the new variables
+
+
+class _Plan(NamedTuple):
+    """How to fire one rule when one of its body literals reads the delta."""
+
+    rule: int
+    start: tuple[int, ...]  # initial binding: the rule's constants
+    steps: tuple[_Step, ...]
+    head: Callable          # binding -> head args
+    emit: Callable          # antecedents in join order + (conclusion,) -> clause row
+
+
+def _plan(r: int, rule: Rule, delta: int, const_id: Mapping[str, int]) -> _Plan:
+    """Join ``rule`` starting from the delta literal, then most-bound literal first.
+
+    Bindings are tuples holding the rule's constants, then each variable in
+    the order the join binds it.
+    """
+    slot: dict = {}
+    for atom in (rule.head, *rule.body):
+        for t in atom.args:
+            if isinstance(t, Const):
+                slot.setdefault(t, len(slot))
+    start = tuple(const_id[c.value] for c in slot)
+
+    def boundness(i: int) -> tuple[bool, int, int]:
+        args = rule.body[i].args
+        n_bound = sum(1 for t in args if t in slot)
+        return (n_bound == len(args), n_bound, -i)
+
+    order = [delta]
+    rest = [i for i in range(len(rule.body)) if i != delta]
+    steps = []
+    while True:
+        atom = rule.body[order[-1]]
+        positions, slots, equal, new = [], [], [], {}
+        for p, t in enumerate(atom.args):
+            if t in slot:
+                positions.append(p)
+                slots.append(slot[t])
+            elif t in new:
+                equal.append((new[t], p))
+            else:
+                new[t] = p
+        for t in new:
+            slot[t] = len(slot)
+        i = order[-1]
+        steps.append(_Step(atom.relation, tuple(positions), _key(slots),
+                           _DELTA if i == delta else _OLD if i < delta else _ALL,
+                           tuple(equal), _picker(list(new.values())) if new else None))
+        if not rest:
+            break
+        nxt = max(rest, key=boundness)
+        rest.remove(nxt)
+        order.append(nxt)
+
+    unbound = [t for t in rule.head.args if t not in slot]
+    if unbound:
+        raise SemanticError(f"rule {rule.id}: head variable {unbound[0]} not bound in body")
+    head = _picker([slot[t] for t in rule.head.args])
+    emit = _picker([len(order)] + [order.index(i) for i in range(len(order))])
+    return _Plan(r, start, tuple(steps), head, emit)
+
+
+class _Kernel:
+    """Semi-naive evaluation of a rule set that records every clause it fires."""
+
+    def __init__(self, rules: Iterable[Rule], input: Database):
+        self.rules = tuple(rules)
+        atoms = [a for r in self.rules for a in (r.head, *r.body)]
+        self.input = input
+        self.names = sorted({f.relation for f in input.facts()} | {a.relation for a in atoms})
+        self.constants = sorted({c for f in input.facts() for c in f.args}
+                                | {t.value for a in atoms for t in a.args if isinstance(t, Const)})
+        const_id = {c: i for i, c in enumerate(self.constants)}
+        self.relations = {name: _Relation() for name in self.names}
+        self.rel_rank = {name: i for i, name in enumerate(self.names)}
+        self.plans: list[list[_Plan]] = []
+        for r, rule in enumerate(self.rules):
+            if not rule.body:
+                raise SemanticError(f"rule {rule.id}: empty body")
+            self.plans.append([_plan(r, rule, d, const_id) for d in range(len(rule.body))])
+
+        self.args: list[tuple[int, ...]] = []  # fact id -> interned args
+        self.rank: list[int] = []              # fact id -> relation rank
+        self.clauses = [array("q") for _ in self.rules]  # flat (conclusion, antecedents...)
+        self._pending = {name: [] for name in self.names}
+        for f in input.facts():
+            self._fact(f.relation, tuple(const_id[c] for c in f.args))
+        self.n_input = len(self.args)
+        self._run()
+
+    def _fact(self, relation: str, args: tuple[int, ...]) -> int:
+        """The id of a fact, added to the next round's delta if it is new."""
+        ids = self.relations[relation].ids
+        fid = ids.get(args)
+        if fid is None:
+            fid = ids[args] = len(self.args)
+            self.args.append(args)
+            self.rank.append(self.rel_rank[relation])
+            self._pending[relation].append((args, fid))
+        return fid
+
+    def _run(self) -> None:
+        lo = 0
+        while lo < len(self.args):
+            # the facts with ids in [lo, hi) are this round's delta
+            hi = len(self.args)
+            fresh = set()
+            for name, new in self._pending.items():
+                if new:
+                    self.relations[name].extend(new)
+                    self._pending[name] = []
+                    fresh.add(name)
+            for plans in self.plans:
+                for plan in plans:
+                    if plan.steps[0].relation in fresh:
+                        self._fire(plan, lo)
+            lo = hi
+
+    def _fire(self, plan: _Plan, lo: int) -> None:
+        rows = [(plan.start, ())]
+        args_of = self.args
+        for step in plan.steps:
+            buckets = self.relations[step.relation].index(step.positions)
+            key, mode, equal, bind = step.key, step.mode, step.equal, step.bind
+            out = []
+            for b, ants in rows:
+                bucket = buckets.get(key(b))
+                if not bucket:
+                    continue
+                if mode == _OLD:
+                    if bucket[-1] >= lo:
+                        bucket = bucket[:bisect_left(bucket, lo)]
+                elif mode == _DELTA:
+                    bucket = bucket[bisect_left(bucket, lo):]
+                for fid in bucket:
+                    args = args_of[fid]
+                    if equal and any(args[p] != args[q] for p, q in equal):
+                        continue
+                    out.append((b + bind(args) if bind else b, (*ants, fid)))
+            rows = out
+            if not rows:
+                return
+        relation = self.rules[plan.rule].head.relation
+        head, emit, buf = plan.head, plan.emit, self.clauses[plan.rule]
+        for b, ants in rows:
+            buf.extend(emit((*ants, self._fact(relation, head(b)))))
+
+    def _to_fact(self, fid: int) -> Fact:
+        return Fact(self.names[self.rank[fid]], tuple(self.constants[c] for c in self.args[fid]))
+
+    def derived(self) -> list[Fact]:
+        """The derived facts that are not input facts."""
+        return [self._to_fact(fid) for fid in range(self.n_input, len(self.args))]
+
+    def grounding(self) -> "Grounding":
+        n_facts = len(self.args)
+        order = sorted(range(n_facts), key=lambda fid: (self.rank[fid], self.args[fid]))
+        position = np.empty(n_facts, dtype=np.int64)
+        position[order] = np.arange(n_facts, dtype=np.int64)
+        inputs = list(self.input.facts())
+        facts = [inputs[fid] if fid < self.n_input else self._to_fact(fid) for fid in order]
+
+        # clauses sorted by (rule id, conclusion, antecedents), grouped by body length
+        concl, crule = [], []
+        by_len: dict[int, tuple[list, list]] = {}
+        n_clauses = 0
+        for r in sorted(range(len(self.rules)), key=lambda r: self.rules[r].id):
+            if not self.clauses[r]:
+                continue
+            k = len(self.rules[r].body)
+            rows = position[np.frombuffer(self.clauses[r], dtype=np.int64).reshape(-1, k + 1)]
+            rows = rows[np.lexsort(rows.T[::-1])]
+            concl.append(rows[:, 0])
+            crule.append(np.full(len(rows), r, dtype=np.int64))
+            pos, ante = by_len.setdefault(k, ([], []))
+            pos.append(np.arange(n_clauses, n_clauses + len(rows), dtype=np.int64))
+            ante.append(rows[:, 1:])
+            n_clauses += len(rows)
+        empty = np.zeros(0, dtype=np.int64)
+        return Grounding(
+            facts=facts,
+            input_idx=np.sort(position[:self.n_input]),
+            rule_ids=tuple(r.id for r in self.rules),
+            concl=np.concatenate(concl) if concl else empty,
+            crule=np.concatenate(crule) if crule else empty,
+            groups=[(np.concatenate(pos), np.concatenate(ante))
+                    for _, (pos, ante) in sorted(by_len.items())])
+
+
+@dataclass(frozen=True, eq=False)
+class Grounding:
+    """The least fixpoint of a rule set and every ground clause over it, as arrays.
+
+    Clauses are numbered in (rule id, conclusion, antecedents) order; facts
+    are referred to by their position in the sorted ``facts`` list.
+    """
+
+    facts: list[Fact]                            # input and derived facts, sorted
+    input_idx: np.ndarray                        # positions of the input facts
+    rule_ids: tuple[str, ...]                    # by rule position
+    concl: np.ndarray                            # clause -> conclusion position
+    crule: np.ndarray                            # clause -> rule position
+    groups: list[tuple[np.ndarray, np.ndarray]]  # per body length: clauses, antecedents
+
+    def __len__(self) -> int:
+        return len(self.concl)
+
+    def __iter__(self) -> Iterator[GroundClause]:
+        """The clauses as ``GroundClause``s, in clause order."""
+        clauses: list = [None] * len(self)
+        for pos, ante in self.groups:
+            for c, row in zip(pos.tolist(), ante.tolist()):
+                clauses[c] = GroundClause(self.rule_ids[self.crule[c]],
+                                          tuple(self.facts[a] for a in row),
+                                          self.facts[self.concl[c]])
+        return iter(clauses)
+
+
+def ground(rules: Iterable[Rule], input: Database) -> Grounding:
+    """The least fixpoint of ``rules`` over ``input`` and all ground clauses over it."""
+    return _Kernel(rules, input).grounding()
 
 
 def boolean_fixpoint(rules: Iterable[Rule], input: Database) -> Database:
     """Least fixpoint under classical semantics; returns derived tuples only."""
-    rules = tuple(rules)
-    derived: set[Fact] = set()
-    current = input
-    while True:
-        new = set()
-        for rule in rules:
-            for clause in ground(rule, current):
-                if clause.conclusion not in derived and clause.conclusion not in input:
-                    new.add(clause.conclusion)
-        if not new:
-            return Database(derived)
-        derived |= new
-        current = Database([*input.facts(), *derived])
+    return Database(_Kernel(rules, input).derived())
 
 
 @dataclass(frozen=True)

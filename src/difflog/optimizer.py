@@ -28,7 +28,6 @@ class SearchConfig:
     annealing_c: float = 0.0001
     init_low: float = 0.25
     init_high: float = 0.75
-    support_threshold: float = 0.0
     rng_seed: int = 0
     timeout: float | None = None  # seconds of search compute time
 
@@ -37,14 +36,6 @@ class SearchConfig:
             raise ValueError("require 0 <= init_low < init_high <= 1")
         if self.mcmc_period < 1:
             raise ValueError("mcmc_period must be >= 1")
-
-
-@dataclass
-class SearchState:
-    iter: int
-    w: WeightVector
-    loss: float
-    temperature: float
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Independent oracles and adversarial instance generation.
 
+naive_ground and naive_fixpoint are nested-loop grounding and naive
+fixpoint iteration, kept only to check the grounding kernel in ``core``.
 brute_force_value enumerates derivation trees directly from the defining
 max-product semantics, independent of the fixpoint evaluator.  encode_3cnf
 builds the rule-selection instance whose solvability mirrors 3-CNF
@@ -13,11 +15,68 @@ import itertools
 import random
 from typing import Iterable, Mapping, Sequence
 
-from .core import (INPUT, OUTPUT, Atom, CandidateRuleSet, Database, Fact,
-                   LabelSet, Problem, ProblemError, RelationDecl, Rule,
-                   boolean_fixpoint, check_solution, ground)
+from .core import (INPUT, OUTPUT, Atom, CandidateRuleSet, Const, Constant,
+                   Database, Fact, GroundClause, LabelSet, Problem,
+                   ProblemError, RelationDecl, Rule, boolean_fixpoint,
+                   check_solution)
 
 TREE_GUARD = 10_000
+
+
+def _match_atom(atom: Atom, fact: Fact, binding: dict[str, Constant]) -> dict[str, Constant] | None:
+    new = None
+    for term, const in zip(atom.args, fact.args):
+        if isinstance(term, Const):
+            if term.value != const:
+                return None
+        else:
+            bound = binding.get(term) if new is None else new.get(term, binding.get(term))
+            if bound is None:
+                if new is None:
+                    new = dict(binding)
+                new[term] = const
+            elif bound != const:
+                return None
+    return binding if new is None else new
+
+
+def naive_ground(rule: Rule, facts: Database) -> set[GroundClause]:
+    """All instantiations of ``rule`` whose body atoms all match facts."""
+    clauses: set[GroundClause] = set()
+
+    def extend(i: int, binding: dict[str, Constant], ants: list[Fact]):
+        if i == len(rule.body):
+            head_args = tuple(
+                a.value if isinstance(a, Const) else binding[a] for a in rule.head.args)
+            clauses.add(GroundClause(rule.id, tuple(ants), Fact(rule.head.relation, head_args)))
+            return
+        atom = rule.body[i]
+        for fact in facts.relation(atom.relation):
+            nb = _match_atom(atom, fact, binding)
+            if nb is not None:
+                ants.append(fact)
+                extend(i + 1, nb, ants)
+                ants.pop()
+
+    extend(0, {}, [])
+    return clauses
+
+
+def naive_fixpoint(rules: Iterable[Rule], input: Database) -> Database:
+    """Least fixpoint by re-grounding every rule each round; derived tuples only."""
+    rules = tuple(rules)
+    derived: set[Fact] = set()
+    current = input
+    while True:
+        new = set()
+        for rule in rules:
+            for clause in naive_ground(rule, current):
+                if clause.conclusion not in derived and clause.conclusion not in input:
+                    new.add(clause.conclusion)
+        if not new:
+            return Database(derived)
+        derived |= new
+        current = Database([*input.facts(), *derived])
 
 
 class EnumerationOverflow(Exception):
@@ -28,11 +87,11 @@ def brute_force_value(rules: Iterable[Rule], w: Mapping[str, float],
                       input: Database, t: Fact, depth: int) -> float:
     """Max product of rule weights over derivation trees of t with height <= depth."""
     rules = tuple(rules)
-    full = boolean_fixpoint(rules, input)
+    full = naive_fixpoint(rules, input)
     universe = input.union(full)
     by_conclusion: dict[Fact, list] = {}
     for rule in rules:
-        for clause in ground(rule, universe):
+        for clause in naive_ground(rule, universe):
             by_conclusion.setdefault(clause.conclusion, []).append(clause)
     for clauses in by_conclusion.values():
         clauses.sort(key=lambda c: (c.rule_id, c.antecedents))

@@ -15,8 +15,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import (CandidateRuleSet, Database, Fact, GroundClause, Rule,
-                   SemanticError, boolean_fixpoint, ground)
+# boolean_fixpoint is re-exported: it is the positive support of an evaluation
+from .core import (CandidateRuleSet, Database, Fact, Rule, SemanticError,
+                   boolean_fixpoint, ground)
 
 
 class WeightVector(Mapping):
@@ -136,8 +137,9 @@ class EvaluationResult:
 class Evaluator:
     """Reusable weighted evaluator for a fixed rule set and input database.
 
-    Grounding is computed once, over the Boolean fixpoint of all candidate
-    rules; repeated evaluations at different weights then run a vectorized
+    Grounding runs once, in the constructor: the kernel derives the Boolean
+    fixpoint of all candidate rules and every ground clause over it.
+    Repeated evaluations at different weights then run a vectorized
     max-product fixpoint over the fixed clause set.
     """
 
@@ -148,38 +150,25 @@ class Evaluator:
         self.rules = rules
         self.input = input
         self.rule_ids = tuple(rules.ids())
-        self._rule_pos = {rid: i for i, rid in enumerate(self.rule_ids)}
         if output_relations is None:
             output_relations = {r.head.relation for r in rules}
         self.output_relations = frozenset(output_relations)
 
-        full = boolean_fixpoint(rules, input)
-        all_facts = sorted({*input.facts(), *full.facts()})
-        self._facts = all_facts
-        self._fact_pos = {f: i for i, f in enumerate(all_facts)}
-        self._input_idx = np.array(sorted(self._fact_pos[f] for f in input.facts()), dtype=np.int64)
-        self.derivable_count = len(full)
-
-        clauses: list[GroundClause] = []
-        for rule in rules:
-            clauses.extend(ground(rule, Database(all_facts)))
-        clauses.sort(key=lambda c: (c.rule_id, c.conclusion, c.antecedents))
-        self._clauses = clauses
-        n = len(clauses)
-        self._concl = np.fromiter((self._fact_pos[c.conclusion] for c in clauses),
-                                  dtype=np.int64, count=n)
-        self._crule = np.fromiter((self._rule_pos[c.rule_id] for c in clauses),
-                                  dtype=np.int64, count=n)
-        # clauses grouped by body length for vectorized products
-        self._groups: list[tuple[np.ndarray, np.ndarray]] = []
-        by_len: dict[int, list[int]] = {}
-        for i, c in enumerate(clauses):
-            by_len.setdefault(len(c.antecedents), []).append(i)
-        for k, idxs in sorted(by_len.items()):
-            pos = np.array(idxs, dtype=np.int64)
-            ante = np.array([[self._fact_pos[a] for a in clauses[i].antecedents] for i in idxs],
-                            dtype=np.int64)
-            self._groups.append((pos, ante))
+        grounding = ground(rules, input)
+        self._facts = grounding.facts
+        self._input_idx = grounding.input_idx
+        self.derivable_count = len(grounding.facts) - len(grounding.input_idx)
+        self._concl = grounding.concl
+        self._crule = grounding.crule
+        # clauses grouped by body length for vectorized products; each
+        # clause's group and row there locate its antecedents
+        self._groups = grounding.groups
+        n = len(grounding)
+        self._cgroup = np.empty(n, dtype=np.int64)
+        self._crow = np.empty(n, dtype=np.int64)
+        for g, (pos, _) in enumerate(self._groups):
+            self._cgroup[pos] = g
+            self._crow[pos] = np.arange(len(pos))
 
     def evaluate(self, w: Mapping[str, float]) -> EvaluationResult:
         missing = [rid for rid in self.rule_ids if rid not in w]
@@ -188,7 +177,7 @@ class Evaluator:
         wv = np.array([w[rid] for rid in self.rule_ids], dtype=np.float64)
 
         n_facts = len(self._facts)
-        n_clauses = len(self._clauses)
+        n_clauses = len(self._concl)
         u = np.zeros(n_facts)
         u[self._input_idx] = 1.0
         prov: dict[int, Counter] = {int(i): _ZERO_COUNTS for i in self._input_idx}
@@ -212,12 +201,18 @@ class Evaluator:
             np.minimum.at(winner, self._concl[attain],
                           np.nonzero(attain)[0])
             new_prov: dict[int, Counter] = {}
-            for fi in np.nonzero(changed)[0]:
-                clause = self._clauses[int(winner[fi])]
-                counts = Counter({clause.rule_id: 1})
-                for a in clause.antecedents:
-                    counts.update(prov[self._fact_pos[a]])
-                new_prov[int(fi)] = counts
+            facts = np.nonzero(changed)[0]
+            wins = winner[facts]
+            groups = self._cgroup[wins]
+            for g, (_, ante) in enumerate(self._groups):
+                mine = groups == g
+                won = wins[mine]
+                for fi, r, ants in zip(facts[mine].tolist(), self._crule[won].tolist(),
+                                       ante[self._crow[won]].tolist()):
+                    counts = Counter({self.rule_ids[r]: 1})
+                    for a in ants:
+                        counts.update(prov[a])
+                    new_prov[fi] = counts
             prov.update(new_prov)
             u = best
 

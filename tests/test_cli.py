@@ -2,6 +2,7 @@
 
 import pytest
 
+from difflog import cli
 from difflog.cli import (EXIT_BAD_INPUT, EXIT_NO_SOLUTION, EXIT_OK, main,
                          run_portfolio)
 from difflog.core import parse_problem, parse_rules, write_problem
@@ -132,3 +133,35 @@ def test_run_portfolio_first_success_cancels(family_problem):
     assert report.winner is not None
     assert report.timeouts == 0
     assert report.best_time is not None and report.best_time <= report.median_time
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seeds", "0"), ("--timeout", "-1"), ("--timeout", "nan"),
+    ("--max-iters", "-1"), ("--mcmc-period", "0")])
+def test_synth_rejects_bad_search_flag(family_dir, monkeypatch, capsys, flag, value):
+    def never_parsed(directory):
+        raise AssertionError(f"{directory} parsed despite a bad flag")
+
+    monkeypatch.setattr(cli, "parse_problem", never_parsed)
+    code = main(["synth", str(family_dir), "--seeds", "1", flag, value])
+    assert code == EXIT_BAD_INPUT
+    assert flag in capsys.readouterr().err
+    assert not (family_dir / "report.tsv").exists()
+
+
+def test_bench_rejects_bad_search_flag(tmp_path, capsys):
+    code = main(["bench", str(tmp_path / "never-read.txt"), "--mcmc-period", "0"])
+    assert code == EXIT_BAD_INPUT
+    assert "--mcmc-period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "not a number"), ("nan", "not in [0, 1]"),
+    ("1.5", "not in [0, 1]"), ("-0.1", "not in [0, 1]")])
+def test_eval_rejects_bad_weight(family_dir, tmp_path, capsys, value, message):
+    weights = tmp_path / "w.tsv"
+    weights.write_text(f"# weights\nr1\t0.5\nr2\t{value}\n")
+    code = main(["eval", str(family_dir), "--weights", str(weights)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"{weights}:3:" in err and message in err

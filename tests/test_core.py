@@ -77,7 +77,7 @@ def test_validate_rule_errors(family_decls):
 
 
 def test_ground_joins_on_shared_variables(family_input, family_rules):
-    clauses = ground(family_rules["r1"], family_input)
+    clauses = ground([family_rules["r1"]], family_input)
     conclusions = {c.conclusion for c in clauses}
     assert Fact("samegen", ("Will", "Ann")) in conclusions
     assert Fact("samegen", ("Ann", "Will")) in conclusions
@@ -90,7 +90,7 @@ def test_ground_handles_constants_in_rules(family_input, family_decls):
     rule = Rule("r", Atom("samegen", ("x", "x")),
                 (Atom("parent", (Const("Will"), "x")),))
     validate_rule(rule, family_decls)
-    clauses = ground(rule, family_input)
+    clauses = ground([rule], family_input)
     assert {c.conclusion for c in clauses} == {Fact("samegen", ("Noah", "Noah"))}
 
 

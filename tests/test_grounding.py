@@ -1,0 +1,225 @@
+"""Differential tests: the grounding kernel against the naive oracle in testkit.
+
+The kernel derives the least fixpoint and every ground clause in one
+semi-naive, indexed pass.  ``naive_fixpoint`` / ``naive_ground`` re-ground
+every rule with nested loops each round; both must agree on the fixpoint,
+on the clause set, on ``check_solution``, and (through ``Evaluator``) on the
+clause order, values and provenance.
+"""
+
+import random
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
+                          Problem, RelationDecl, Rule,
+                          boolean_fixpoint, check_solution, ground,
+                          parse_problem, validate_rule)
+from difflog.testkit import (naive_fixpoint, naive_ground, random_instance,
+                             random_weights)
+from difflog.viterbi import Evaluator
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+def with_constants(problem: Problem, rng: random.Random) -> Problem:
+    """Swap some rule variables for constants, one of which is not in the input."""
+    constants = sorted({c for f in problem.input.facts() for c in f.args}) + ["zz"]
+    rules = []
+    for rule in problem.rules:
+        body = tuple(Atom(a.relation, tuple(Const(rng.choice(constants)) if rng.random() < 0.3
+                                            else t for t in a.args)) for a in rule.body)
+        bound = {v for a in body for v in a.variables()}
+        head = Atom(rule.head.relation,
+                    tuple(Const(rng.choice(constants)) if t not in bound or rng.random() < 0.2
+                          else t for t in rule.head.args))
+        rules.append(Rule(rule.id, head, body))
+    return problem._replace(rules=CandidateRuleSet(rules))
+
+
+@st.composite
+def instances(draw) -> Problem:
+    """A random instance; the seed, not hypothesis, picks its sizes uniformly."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    body_len = rng.randint(1, 3)
+    problem = random_instance(
+        rng, n_constants=rng.randint(1, 5), n_input_relations=rng.randint(1, 3),
+        n_output_relations=rng.randint(1, 2), n_facts=rng.randint(0, 16),
+        n_rules=rng.randint(1, 8), max_body_len=body_len,
+        max_arity=rng.randint(1, 3 if body_len < 3 else 2), n_labels=3)
+    if draw(st.booleans()):
+        problem = with_constants(problem, rng)
+    return problem
+
+
+def triples(clauses) -> list[tuple]:
+    return [(c.rule_id, c.antecedents, c.conclusion) for c in clauses]
+
+
+def oracle_clauses(rules, input: Database):
+    """Sorted facts and the clauses over them, sorted the way Evaluator numbers them."""
+    facts = sorted({*input.facts(), *naive_fixpoint(rules, input).facts()})
+    universe = Database(facts)
+    clauses = sorted((c for rule in rules for c in naive_ground(rule, universe)),
+                     key=lambda c: (c.rule_id, c.conclusion, c.antecedents))
+    return facts, clauses
+
+
+def oracle_arrays(rules: CandidateRuleSet, input: Database):
+    facts, clauses = oracle_clauses(rules, input)
+    fact_pos = {f: i for i, f in enumerate(facts)}
+    rule_pos = {rid: i for i, rid in enumerate(rules.ids())}
+    by_len: dict[int, list[int]] = {}
+    for i, c in enumerate(clauses):
+        by_len.setdefault(len(c.antecedents), []).append(i)
+    groups = [(np.array(idxs, dtype=np.int64),
+               np.array([[fact_pos[a] for a in clauses[i].antecedents] for i in idxs],
+                        dtype=np.int64))
+              for _, idxs in sorted(by_len.items())]
+    return {
+        "facts": facts,
+        "input_idx": np.array(sorted(fact_pos[f] for f in input.facts()), dtype=np.int64),
+        "concl": np.array([fact_pos[c.conclusion] for c in clauses], dtype=np.int64),
+        "crule": np.array([rule_pos[c.rule_id] for c in clauses], dtype=np.int64),
+        "groups": groups,
+        "clauses": clauses,
+    }
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_evaluate(oracle, rule_ids, w):
+    """Max-product fixpoint with Counter provenance over GroundClause objects."""
+    facts, clauses = oracle["facts"], oracle["clauses"]
+    fact_pos = {f: i for i, f in enumerate(facts)}
+    wv = np.array([w[rid] for rid in rule_ids], dtype=np.float64)
+    u = np.zeros(len(facts))
+    u[oracle["input_idx"]] = 1.0
+    prov = {int(i): Counter() for i in oracle["input_idx"]}
+    vals = np.empty(len(clauses))
+    rounds = 0
+    while True:
+        rounds += 1
+        for pos, ante in oracle["groups"]:
+            group_vals = wv[oracle["crule"][pos]]
+            for j in range(ante.shape[1]):
+                group_vals = group_vals * u[ante[:, j]]
+            vals[pos] = group_vals
+        best = u.copy()
+        np.maximum.at(best, oracle["concl"], vals)
+        changed = best > u
+        if not changed.any():
+            break
+        attain = (vals == best[oracle["concl"]]) & changed[oracle["concl"]]
+        winner = np.full(len(facts), len(clauses), dtype=np.int64)
+        np.minimum.at(winner, oracle["concl"][attain], np.nonzero(attain)[0])
+        new_prov = {}
+        for fi in np.nonzero(changed)[0]:
+            clause = clauses[int(winner[fi])]
+            counts = Counter({clause.rule_id: 1})
+            for a in clause.antecedents:
+                counts.update(prov[fact_pos[a]])
+            new_prov[int(fi)] = counts
+        prov.update(new_prov)
+        u = best
+    values = {facts[i]: float(u[i]) for i in range(len(facts)) if u[i] > 0.0}
+    provenance = {facts[i]: {r: c for r, c in prov[i].items() if c}
+                  for i in range(len(facts)) if u[i] > 0.0}
+    return values, provenance, rounds
+
+
+def assert_matches_oracle(rules: CandidateRuleSet, input: Database, oracle, weights) -> None:
+    """Evaluator's arrays, values and provenance equal those built from ``oracle``."""
+    ev = Evaluator(rules, input)
+    assert ev._facts == oracle["facts"]
+    assert same_array(ev._input_idx, oracle["input_idx"])
+    assert same_array(ev._concl, oracle["concl"])
+    assert same_array(ev._crule, oracle["crule"])
+    assert len(ev._groups) == len(oracle["groups"])
+    for (pos, ante), (opos, oante) in zip(ev._groups, oracle["groups"]):
+        assert same_array(pos, opos) and same_array(ante, oante)
+    for w in weights:
+        result = ev.evaluate(w)
+        values, provenance, rounds = reference_evaluate(oracle, ev.rule_ids, w)
+        assert result.value == values
+        assert {t: p.counts for t, p in result.provenance.items()} == provenance
+        assert result.rounds == rounds
+
+
+@SETTINGS
+@given(instances())
+def test_kernel_clause_set_matches_naive_ground(problem):
+    grounding = ground(problem.rules, problem.input)
+    got = triples(grounding)
+    assert len(got) == len(grounding) == len(set(got))
+    _, expected = oracle_clauses(problem.rules, problem.input)
+    assert set(got) == set(triples(expected))
+
+
+@SETTINGS
+@given(instances())
+def test_kernel_fixpoint_matches_naive_fixpoint(problem):
+    expected = naive_fixpoint(problem.rules, problem.input)
+    assert boolean_fixpoint(problem.rules, problem.input) == expected
+    assert ground(problem.rules, problem.input).facts == \
+        sorted({*problem.input.facts(), *expected.facts()})
+
+
+@SETTINGS
+@given(instances(), st.randoms(use_true_random=False))
+def test_check_solution_matches_naive_on_rule_subsets(problem, rng):
+    for _ in range(3):
+        subset = [r for r in problem.rules if rng.random() < 0.5]
+        fixpoint = naive_fixpoint(subset, problem.input)
+        check = check_solution(subset, problem.input, problem.labels)
+        assert check.missing == {t for t in problem.labels.positive if t not in fixpoint}
+        assert check.spurious == {t for t in problem.labels.negative if t in fixpoint}
+        assert check.accepted == (not check.missing and not check.spurious)
+
+
+@SETTINGS
+@given(instances(), st.randoms(use_true_random=False))
+def test_evaluator_matches_build_from_naive_clauses(problem, rng):
+    weights = [random_weights(rng, problem.rules) for _ in range(2)]
+    weights.append({rid: 1.0 for rid in problem.rules.ids()})
+    weights.append({rid: rng.choice((0.0, 0.5, 1.0)) for rid in problem.rules.ids()})
+    assert_matches_oracle(problem.rules, problem.input,
+                          oracle_arrays(problem.rules, problem.input), weights)
+
+
+def test_head_constant_absent_from_input():
+    decls = {"p": RelationDecl("p", 1, "input"), "q": RelationDecl("q", 2, "output")}
+    input_db = Database([Fact("p", ("a",)), Fact("p", ("b",))])
+    rules = CandidateRuleSet([
+        Rule("h1", Atom("q", ("x", Const("new"))), (Atom("p", ("x",)),)),
+        Rule("h2", Atom("q", (Const("new"), "y")), (Atom("q", ("y", Const("new"))),)),
+        Rule("h3", Atom("q", ("x", "x")), (Atom("q", (Const("new"), "x")), Atom("p", ("x",)))),
+    ])
+    for rule in rules:
+        validate_rule(rule, decls)
+    fixpoint = boolean_fixpoint(rules, input_db)
+    assert fixpoint == naive_fixpoint(rules, input_db)
+    assert Fact("q", ("a", "new")) in fixpoint and Fact("q", ("new", "b")) in fixpoint
+    assert Fact("q", ("new", "new")) not in fixpoint
+    oracle = oracle_arrays(rules, input_db)
+    assert triples(ground(rules, input_db)) == triples(oracle["clauses"])
+    assert_matches_oracle(rules, input_db, oracle, [{"h1": 0.9, "h2": 0.5, "h3": 0.7},
+                                                    {"h1": 1.0, "h2": 1.0, "h3": 1.0}])
+
+
+@pytest.mark.parametrize("name", ["samegen", "andersen"])
+def test_golden_problem_matches_naive(name):
+    problem = parse_problem(PROBLEMS / name)
+    oracle = oracle_arrays(problem.rules, problem.input)
+    assert triples(ground(problem.rules, problem.input)) == triples(oracle["clauses"])
+    rng = random.Random(name)
+    assert_matches_oracle(problem.rules, problem.input, oracle,
+                          [random_weights(rng, problem.rules, 0.25, 0.75)])
