@@ -15,7 +15,7 @@ from .optimizer import (SearchConfig, SearchOutcome, SearchRunner, loss,
                         separation_check, temperature)
 from .rulegen import GenConfig, augment, chain_seeds, emit_rules, generate
 from .testkit import brute_force_value, encode_3cnf, random_instance
-from .viterbi import (EvaluationResult, Evaluator, Provenance, WeightVector,
-                      evaluate, gradient, support)
+from .viterbi import (EvaluationResult, Evaluator, Provenance, evaluate,
+                      gradient, support)
 
 __version__ = "0.1.0"

@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search_flags(p):
         p.add_argument("--seeds", type=int, default=None,
-                       help="parallel search instances (default: available parallelism)")
+                       help="search instances, interleaved in one thread (default: CPU count)")
         p.add_argument("--timeout", type=float, default=3600.0,
                        help="per-instance timeout in seconds of search compute; "
                             "parsing and grounding are not counted")

@@ -202,17 +202,12 @@ class LabelSet:
 class GroundClause:
     """A rule instantiated with constants.
 
-    ``antecedents`` preserves body-literal order and multiplicity; use
-    ``antecedent_set`` for the set A_g.
+    ``antecedents`` preserves body-literal order and multiplicity.
     """
 
     rule_id: str
     antecedents: tuple[Fact, ...]
     conclusion: Fact
-
-    @property
-    def antecedent_set(self) -> frozenset[Fact]:
-        return frozenset(self.antecedents)
 
 
 class CandidateRuleSet:

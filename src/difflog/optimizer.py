@@ -9,10 +9,12 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
+
+import numpy as np
 
 from .core import LabelSet, Problem, check_solution
-from .viterbi import EvaluationResult, Evaluator, WeightVector
+from .viterbi import EvaluationResult, Evaluator
 
 CLAMP_EPS = 1e-6
 
@@ -47,62 +49,64 @@ class SearchOutcome:
     wall_time: float
 
 
+def clamp(w: np.ndarray) -> np.ndarray:
+    """Weights pushed into [eps, 1-eps] so w_r never divides to zero."""
+    return np.clip(w, CLAMP_EPS, 1.0 - CLAMP_EPS)
+
+
 def loss(result: EvaluationResult, labels: LabelSet) -> float:
     """L2 loss: positives pulled to value 1, negatives to value 0."""
+    rows, n_positive = result.evaluator.label_rows(labels)
+    gap = result.values[rows]
+    gap[:n_positive] = 1.0 - gap[:n_positive]
+    # a running sum in label order: numpy's pairwise sum and the compensated
+    # sum() of newer Pythons round differently, and the trace prints this
+    # value; zero terms change no sum
     total = 0.0
-    for t in sorted(labels.positive):
-        total += (1.0 - result.value_of(t)) ** 2
-    for t in sorted(labels.negative):
-        total += result.value_of(t) ** 2
+    for d in gap[gap != 0.0].tolist():
+        total += d ** 2
     return total
 
 
-def loss_gradient(result: EvaluationResult, w: Mapping[str, float],
-                  labels: LabelSet) -> dict[str, float]:
-    """Chain-rule assembly of the loss gradient from per-tuple provenance."""
-    grad = {rid: 0.0 for rid in result.rule_ids}
-    for t in sorted(labels.positive):
-        prov = result.provenance_of(t)
-        if not prov.defined:
-            continue
-        v = result.value_of(t)
-        coeff = -2.0 * (1.0 - v)
-        for rid, count in prov.counts.items():
-            grad[rid] += coeff * count * v / w[rid]
-    for t in sorted(labels.negative):
-        prov = result.provenance_of(t)
-        if not prov.defined:
-            continue
-        v = result.value_of(t)
-        for rid, count in prov.counts.items():
-            grad[rid] += 2.0 * v * count * v / w[rid]
-    return grad
+def loss_gradient(result: EvaluationResult, w: np.ndarray, labels: LabelSet) -> np.ndarray:
+    """Chain-rule assembly of the loss gradient from the labels' provenance.
+
+    dL/dw_r sums a_t * count_r(t) * v_t / w_r over the labels t, where
+    a_t = -2 (1 - v_t) for a positive and 2 v_t for a negative; ``w`` is the
+    weight vector the result was evaluated at.
+    """
+    rows, n_positive = result.evaluator.label_rows(labels)
+    v = result.values[rows]
+    a = 2.0 * v
+    a[:n_positive] = -2.0 * (1.0 - v[:n_positive])
+    live = v > 0.0  # a label without a derivation has an all-zero count row
+    v, a, counts = v[live], a[live], result.counts[rows[live]]
+    # row 0 starts each sum at 0.0; accumulate adds the labels in order, where
+    # a reduction may sum pairwise and round differently.  The last row is
+    # copied so the gradient does not keep the running sums alive.
+    terms = np.zeros((len(v) + 1, len(w)))
+    np.divide((a[:, None] * counts) * v[:, None], w, out=terms[1:], where=counts != 0)
+    return np.add.accumulate(terms, axis=0)[-1].copy()
 
 
-def newton_step(w: WeightVector, L: float, grad_L: Mapping[str, float]) -> WeightVector:
+def newton_step(w: np.ndarray, L: float, grad_L: np.ndarray) -> np.ndarray:
     """Root-finding update w - L * grad / ||grad||^2, clamped into (0, 1)."""
-    norm_sq = sum(g * g for g in grad_L.values())
+    norm_sq = sum((grad_L * grad_L).tolist())  # rule order, not numpy's pairwise sum
     if norm_sq == 0.0:
         if L == 0.0:
             return w
         raise ZeroGradientError("zero loss gradient at nonzero loss")
-    scale = L / norm_sq
-    return WeightVector({
-        rid: min(max(wv - scale * grad_L[rid], CLAMP_EPS), 1.0 - CLAMP_EPS)
-        for rid, wv in w.items()
-    })
+    return clamp(w - (L / norm_sq) * grad_L)
 
 
-def mcmc_propose(w: WeightVector, rng: random.Random) -> WeightVector:
-    """Independent per-rule proposal, symmetric around the current weight."""
-    proposal = {}
-    for rid, old in w.items():
-        x = rng.random()
-        if x < 0.5:
-            proposal[rid] = old * math.sqrt(2.0 * x)
-        else:
-            proposal[rid] = 1.0 - (1.0 - old) * math.sqrt(2.0 * (1.0 - x))
-    return WeightVector(proposal)
+def mcmc_propose(w: np.ndarray, rng: random.Random) -> np.ndarray:
+    """Independent per-rule proposal, symmetric around the current weight.
+
+    Draws one ``rng.random()`` per rule, in rule order.
+    """
+    x = np.array([rng.random() for _ in range(len(w))])
+    return np.where(x < 0.5, w * np.sqrt(2.0 * x),
+                    1.0 - (1.0 - w) * np.sqrt(2.0 * (1.0 - x)))
 
 
 def mcmc_accept(loss_curr: float, loss_new: float, temperature: float,
@@ -134,20 +138,16 @@ def separation_check(result: EvaluationResult, labels: LabelSet) -> SeparationRe
     Fails when any positive tuple has no derivation yet (the current
     position cannot lead to a solution), or when the rule sets overlap.
     """
-    positive_rules: set[str] = set()
-    for t in labels.positive:
-        prov = result.provenance_of(t)
-        if not prov.defined:
-            return SeparationResult(False)
-        positive_rules |= prov.rules()
-    negative_rules: set[str] = set()
-    for t in labels.negative:
-        prov = result.provenance_of(t)
-        if prov.defined:
-            negative_rules |= prov.rules()
-    if positive_rules & negative_rules:
+    rows, n_positive = result.evaluator.label_rows(labels)
+    positive, negative = rows[:n_positive], rows[n_positive:]
+    if not (result.values[positive] > 0.0).all():
         return SeparationResult(False)
-    return SeparationResult(True, frozenset(positive_rules))
+    negative = negative[result.values[negative] > 0.0]
+    positive_rules = (result.counts[positive] != 0).any(axis=0)
+    if (positive_rules & (result.counts[negative] != 0).any(axis=0)).any():
+        return SeparationResult(False)
+    rule_ids = result.evaluator.rule_ids
+    return SeparationResult(True, frozenset(rule_ids[r] for r in np.flatnonzero(positive_rules)))
 
 
 TraceFn = Callable[[int, float, str, float], None]
@@ -157,7 +157,8 @@ class SearchRunner:
     """One search instance, advanced one weight update at a time.
 
     Owns its RNG and state; instances sharing a problem may share one
-    Evaluator since evaluation is pure.
+    Evaluator since evaluation is pure.  Between steps it keeps the weight
+    vector with its loss and loss gradient, not the evaluation they came from.
     """
 
     def __init__(self, problem: Problem, config: SearchConfig,
@@ -174,30 +175,32 @@ class SearchRunner:
         self.elapsed = 0.0
         self.outcome: SearchOutcome | None = None
 
-        self.w = WeightVector({
-            rid: self.rng.uniform(config.init_low, config.init_high)
-            for rid in self.evaluator.rule_ids})
+        self.w = np.array([self.rng.uniform(config.init_low, config.init_high)
+                           for _ in self.evaluator.rule_ids])
         if config.timeout is not None and config.timeout <= 0.0:
             self._finish("timeout")
             return
         start = time.perf_counter()
-        self.result = self.evaluator.evaluate(self.w.clamped(CLAMP_EPS))
-        self.loss = loss(self.result, problem.labels)
-        self._try_recover()
+        self._accept(self.w, *self._evaluate(self.w))
         self.elapsed += time.perf_counter() - start
 
-    def _try_recover(self) -> bool:
-        sep = separation_check(self.result, self.problem.labels)
+    def _evaluate(self, w: np.ndarray) -> tuple[EvaluationResult, float]:
+        result = self.evaluator.evaluate(clamp(w))
+        return result, loss(result, self.problem.labels)
+
+    def _accept(self, w: np.ndarray, result: EvaluationResult, loss_value: float) -> None:
+        """Move to ``w``, then try to recover a program from its evaluation."""
+        self.w, self.loss = w, loss_value
+        self.grad = loss_gradient(result, clamp(w), self.problem.labels)
+        sep = separation_check(result, self.problem.labels)
         if not sep.separated:
-            return False
+            return
         candidate = sep.positive_rules
         check = check_solution(self.problem.rules.subset(candidate).rules,
                                self.problem.input, self.problem.labels)
         if check.accepted:
             self.outcome = SearchOutcome("solved", candidate, self.iterations,
                                          self.samplings, self.elapsed)
-            return True
-        return False
 
     def _finish(self, status: str) -> SearchOutcome:
         self.outcome = SearchOutcome(status, None, self.iterations, self.samplings, self.elapsed)
@@ -214,33 +217,33 @@ class SearchRunner:
 
         start = time.perf_counter()
         is_mcmc = (self.iterations + 1) % self.config.mcmc_period == 0
-        event = ""
+        accepted = None
         if not is_mcmc:
-            grad = loss_gradient(self.result, self.w.clamped(CLAMP_EPS), self.problem.labels)
             try:
-                self.w = newton_step(self.w, self.loss, grad)
-                self.result = self.evaluator.evaluate(self.w.clamped(CLAMP_EPS))
-                self.loss = loss(self.result, self.problem.labels)
-                event = "newton"
+                w = newton_step(self.w, self.loss, self.grad)
             except ZeroGradientError:
                 # plateau: Newton is undefined, fall through to an MCMC event
                 is_mcmc = True
+            else:
+                accepted = (w, *self._evaluate(w))
+                event = "newton"
         if is_mcmc:
             temp = temperature(self.iterations, self.config.annealing_c)
-            proposal = mcmc_propose(self.w, self.rng)
-            result_new = self.evaluator.evaluate(proposal.clamped(CLAMP_EPS))
-            loss_new = loss(result_new, self.problem.labels)
+            w = mcmc_propose(self.w, self.rng)
+            result, loss_new = self._evaluate(w)
             self.samplings += 1
             if mcmc_accept(self.loss, loss_new, temp, self.rng):
-                self.w, self.result, self.loss = proposal, result_new, loss_new
+                accepted = (w, result, loss_new)
                 event = "mcmc-accept"
             else:
                 event = "mcmc-reject"
         self.iterations += 1
+        # a rejected proposal leaves the state, and so the failed recovery, as it was
+        if accepted is not None:
+            self._accept(*accepted)
         if self.trace is not None:
             self.trace(self.iterations, self.loss, event,
                        temperature(self.iterations, self.config.annealing_c))
-        self._try_recover()
         self.elapsed += time.perf_counter() - start
         return self.outcome
 

@@ -4,53 +4,24 @@ Each rule carries a weight in [0,1]; a derivation tree's value is the
 product of the weights of its clauses, and a tuple's value is the maximum
 over its derivation trees.  Evaluation also tracks provenance: the
 rule-occurrence counts of one value-maximal tree, which make the tuple
-values differentiable in closed form.
+values differentiable in closed form (dv_t/dw_r = count_r(t) * v_t / w_r).
+
+Weights are one float64 vector in rule-position order.  An evaluation is
+two arrays over fact rows: the values, and a (facts x rules) count matrix
+whose rows are the provenance monomials in N[X].
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
 # boolean_fixpoint is re-exported: it is the positive support of an evaluation
-from .core import (CandidateRuleSet, Database, Fact, Rule, SemanticError,
-                   boolean_fixpoint, ground)
-
-
-class WeightVector(Mapping):
-    """An immutable rule_id -> weight map with weights in [0, 1]."""
-
-    __slots__ = ("_weights",)
-
-    def __init__(self, weights: Mapping[str, float]):
-        for rid, w in weights.items():
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"weight for {rid} out of [0,1]: {w}")
-        self._weights = dict(weights)
-
-    def __getitem__(self, rule_id):
-        return self._weights[rule_id]
-
-    def __iter__(self):
-        return iter(self._weights)
-
-    def __len__(self):
-        return len(self._weights)
-
-    def clamped(self, eps: float = 1e-6) -> "WeightVector":
-        """Weights pushed into [eps, 1-eps] so w_r never divides to zero."""
-        return WeightVector({r: min(max(w, eps), 1.0 - eps) for r, w in self._weights.items()})
-
-    def replace(self, updates: Mapping[str, float]) -> "WeightVector":
-        merged = dict(self._weights)
-        merged.update(updates)
-        return WeightVector(merged)
-
-    def __repr__(self):
-        return f"WeightVector({self._weights!r})"
+from .core import (CandidateRuleSet, Database, Fact, LabelSet, Rule,
+                   SemanticError, boolean_fixpoint, ground)
 
 
 class Provenance:
@@ -61,77 +32,84 @@ class Provenance:
     all-zero counts.
     """
 
-    __slots__ = ("_counts", "_defined")
+    __slots__ = ("_counts",)
 
     def __init__(self, counts: Mapping[str, int] | None):
-        if counts is None:
-            self._counts = None
-            self._defined = False
-        else:
-            self._counts = {r: int(c) for r, c in counts.items() if c}
-            self._defined = True
+        self._counts = None if counts is None else {r: int(c) for r, c in counts.items() if c}
 
-    _UNDEFINED = None
-
-    @classmethod
-    def undefined(cls) -> "Provenance":
-        if cls._UNDEFINED is None:
-            cls._UNDEFINED = cls(None)
-        return cls._UNDEFINED
+    @staticmethod
+    def undefined() -> "Provenance":
+        return _UNDEFINED
 
     @property
     def defined(self) -> bool:
-        return self._defined
+        return self._counts is not None
 
     @property
     def counts(self) -> Mapping[str, int]:
-        if not self._defined:
+        if self._counts is None:
             raise ValueError("no derivation: provenance is undefined")
         return dict(self._counts)
 
     def count(self, rule_id: str) -> int:
-        if not self._defined:
-            raise ValueError("no derivation: provenance is undefined")
-        return self._counts.get(rule_id, 0)
-
-    def rules(self) -> frozenset[str]:
-        """Rules used at least once in the recorded tree."""
-        if not self._defined:
-            raise ValueError("no derivation: provenance is undefined")
-        return frozenset(self._counts)
-
-    def __eq__(self, other):
-        return (isinstance(other, Provenance)
-                and self._defined == other._defined and self._counts == other._counts)
-
-    def __hash__(self):
-        return hash(None if self._counts is None else tuple(sorted(self._counts.items())))
+        return self.counts.get(rule_id, 0)
 
     def __repr__(self):
-        if not self._defined:
-            return "Provenance(undefined)"
-        return f"Provenance({self._counts!r})"
+        return "Provenance(undefined)" if self._counts is None else f"Provenance({self._counts!r})"
 
 
-_ZERO_COUNTS = Counter()
+_UNDEFINED = Provenance(None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationResult:
-    """Output of one weighted evaluation: derived tuples, values, provenance."""
+    """Output of one weighted evaluation, as arrays over the evaluator's fact rows.
 
-    derived: Database                      # derived output tuples with value > 0
-    value: Mapping[Fact, float]            # inputs at 1.0 plus derived tuples
-    provenance: Mapping[Fact, Provenance]
-    rounds: int                            # fixpoint-loop iterations executed
-    output_relations: frozenset[str]
-    rule_ids: tuple[str, ...]
+    ``values[i]`` is the value of fact ``i``; ``counts[i, r]`` is how often
+    rule ``r`` occurs in its recorded tree.  A fact with value 0 has no
+    derivation and an all-zero, undefined row.  The last row is the zero row
+    of facts outside the grounding.  The ``Fact``-keyed attributes are views
+    built on first use.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    rounds: int  # fixpoint-loop iterations executed
+    evaluator: "Evaluator"
+
+    def _provenance_at(self, row: int) -> Provenance:
+        if not self.values[row] > 0.0:
+            return _UNDEFINED
+        counts, rule_ids = self.counts[row], self.evaluator.rule_ids
+        return Provenance({rule_ids[r]: counts[r] for r in np.flatnonzero(counts)})
+
+    @cached_property
+    def _rows(self) -> list[int]:
+        """Rows of the facts with a value: the inputs and the derived tuples."""
+        return np.flatnonzero(self.values[:-1] > 0.0).tolist()
+
+    @cached_property
+    def value(self) -> Mapping[Fact, float]:
+        facts = self.evaluator._facts
+        return {facts[i]: float(self.values[i]) for i in self._rows}
+
+    @cached_property
+    def provenance(self) -> Mapping[Fact, Provenance]:
+        facts = self.evaluator._facts
+        return {facts[i]: self._provenance_at(i) for i in self._rows}
+
+    @cached_property
+    def derived(self) -> Database:
+        """Derived (non-input) tuples with value > 0."""
+        mask = self.values[:-1] > 0.0
+        mask[self.evaluator._input_idx] = False
+        return Database(self.evaluator._facts[i] for i in np.flatnonzero(mask).tolist())
 
     def value_of(self, t: Fact) -> float:
-        return self.value.get(t, 0.0)
+        return float(self.values[self.evaluator.row_of(t)])
 
     def provenance_of(self, t: Fact) -> Provenance:
-        return self.provenance.get(t, Provenance.undefined())
+        return self._provenance_at(self.evaluator.row_of(t))
 
 
 class Evaluator:
@@ -169,18 +147,52 @@ class Evaluator:
         for g, (pos, _) in enumerate(self._groups):
             self._cgroup[pos] = g
             self._crow[pos] = np.arange(len(pos))
+        self._row = {f: i for i, f in enumerate(self._facts)}
+        self._label_rows: dict[LabelSet, tuple[np.ndarray, int]] = {}
 
-    def evaluate(self, w: Mapping[str, float]) -> EvaluationResult:
-        missing = [rid for rid in self.rule_ids if rid not in w]
-        if missing:
-            raise SemanticError(f"weights missing for rules: {missing}")
-        wv = np.array([w[rid] for rid in self.rule_ids], dtype=np.float64)
+    def row_of(self, t: Fact) -> int:
+        """The result row of ``t``; a fact outside the grounding has the zero row."""
+        return self._row.get(t, len(self._facts))
 
+    def label_rows(self, labels: LabelSet) -> tuple[np.ndarray, int]:
+        """The result rows of the sorted positives, then the sorted negatives,
+        and the number of positives; computed once per label set."""
+        index = self._label_rows.get(labels)
+        if index is None:
+            ordered = [*sorted(labels.positive), *sorted(labels.negative)]
+            index = (np.array([self.row_of(t) for t in ordered], dtype=np.int64),
+                     len(labels.positive))
+            self._label_rows[labels] = index
+        return index
+
+    def _weight_vector(self, w: np.ndarray | Mapping[str, float]) -> np.ndarray:
+        if isinstance(w, Mapping):
+            missing = [rid for rid in self.rule_ids if rid not in w]
+            if missing:
+                raise SemanticError(f"weights missing for rules: {missing}")
+            w = [w[rid] for rid in self.rule_ids]
+        wv = np.asarray(w, dtype=np.float64)
+        if wv.shape != (len(self.rule_ids),):
+            raise ValueError(f"expected {len(self.rule_ids)} weights, got shape {wv.shape}")
+        inside = (wv >= 0.0) & (wv <= 1.0)
+        if not inside.all():
+            r = int(np.argmin(inside))
+            raise ValueError(f"weight for {self.rule_ids[r]} is not in [0, 1]: {wv[r]}")
+        return wv
+
+    def evaluate(self, w: np.ndarray | Mapping[str, float]) -> EvaluationResult:
+        """Evaluate at weights ``w``: a vector in rule-position order or a rule-id map.
+
+        A map must give a weight for every rule id (SemanticError); a vector
+        of the wrong length or a weight outside [0, 1], NaN included, raises
+        ValueError.
+        """
+        wv = self._weight_vector(w)
         n_facts = len(self._facts)
         n_clauses = len(self._concl)
-        u = np.zeros(n_facts)
+        u = np.zeros(n_facts + 1)
         u[self._input_idx] = 1.0
-        prov: dict[int, Counter] = {int(i): _ZERO_COUNTS for i in self._input_idx}
+        counts = np.zeros((n_facts + 1, len(self.rule_ids)), dtype=np.int64)
 
         vals = np.empty(n_clauses)
         rounds = 0
@@ -196,43 +208,26 @@ class Evaluator:
             changed = best > u
             if not changed.any():
                 break
+            # the lowest-index clause attaining a changed fact's new value wins
             attain = (vals == best[self._concl]) & changed[self._concl]
-            winner = np.full(n_facts, n_clauses, dtype=np.int64)
-            np.minimum.at(winner, self._concl[attain],
-                          np.nonzero(attain)[0])
-            new_prov: dict[int, Counter] = {}
+            winner = np.full(n_facts + 1, n_clauses, dtype=np.int64)
+            np.minimum.at(winner, self._concl[attain], np.nonzero(attain)[0])
             facts = np.nonzero(changed)[0]
             wins = winner[facts]
+            # a winner's row: its rule once, plus its antecedents' rows of the last round
+            rows = np.zeros((len(facts), len(self.rule_ids)), dtype=np.int64)
+            rows[np.arange(len(facts)), self._crule[wins]] = 1
             groups = self._cgroup[wins]
             for g, (_, ante) in enumerate(self._groups):
-                mine = groups == g
-                won = wins[mine]
-                for fi, r, ants in zip(facts[mine].tolist(), self._crule[won].tolist(),
-                                       ante[self._crow[won]].tolist()):
-                    counts = Counter({self.rule_ids[r]: 1})
-                    for a in ants:
-                        counts.update(prov[a])
-                    new_prov[fi] = counts
-            prov.update(new_prov)
+                mine = np.flatnonzero(groups == g)
+                for column in ante[self._crow[wins[mine]]].T:
+                    rows[mine] += counts[column]
+            counts[facts] = rows
             u = best
-
-        value: dict[Fact, float] = {}
-        provenance: dict[Fact, Provenance] = {}
-        derived: list[Fact] = []
-        input_set = set(int(i) for i in self._input_idx)
-        for i, fact in enumerate(self._facts):
-            if i in input_set:
-                value[fact] = 1.0
-                provenance[fact] = Provenance(_ZERO_COUNTS)
-            elif u[i] > 0.0:
-                value[fact] = float(u[i])
-                provenance[fact] = Provenance(prov[i])
-                derived.append(fact)
-        return EvaluationResult(Database(derived), value, provenance, rounds,
-                                self.output_relations, self.rule_ids)
+        return EvaluationResult(u, counts, rounds, self)
 
 
-def evaluate(rules: CandidateRuleSet | Iterable[Rule], w: Mapping[str, float],
+def evaluate(rules: CandidateRuleSet | Iterable[Rule], w: np.ndarray | Mapping[str, float],
              input: Database) -> EvaluationResult:
     """One-shot weighted evaluation (see Evaluator for the repeated-use path)."""
     return Evaluator(rules, input).evaluate(w)
@@ -240,13 +235,14 @@ def evaluate(rules: CandidateRuleSet | Iterable[Rule], w: Mapping[str, float],
 
 def gradient(result: EvaluationResult, w: Mapping[str, float], t: Fact) -> dict[str, float]:
     """Partial derivatives of the tuple value with respect to each rule weight."""
-    if t.relation not in result.output_relations:
+    if t.relation not in result.evaluator.output_relations:
         raise SemanticError(f"{t} is not an output-relation tuple of this problem")
     prov = result.provenance_of(t)
+    rule_ids = result.evaluator.rule_ids
     if not prov.defined:
-        return {rid: 0.0 for rid in result.rule_ids}
+        return {rid: 0.0 for rid in rule_ids}
     v = result.value_of(t)
-    return {rid: prov.count(rid) * v / w[rid] for rid in result.rule_ids}
+    return {rid: prov.count(rid) * v / w[rid] for rid in rule_ids}
 
 
 def support(w: Mapping[str, float], threshold: float = 0.0) -> frozenset[str]:

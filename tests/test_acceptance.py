@@ -11,6 +11,8 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
+
 from difflog.core import (Database, Fact, boolean_fixpoint, check_solution,
                           parse_problem, parse_relations, parse_rule_line,
                           parse_rules)
@@ -19,7 +21,7 @@ from difflog.rulegen import canonicalize
 from difflog.testkit import (EnumerationOverflow, brute_force_value,
                              encode_3cnf, exists_solution, random_instance,
                              random_weights, satisfiable)
-from difflog.viterbi import Evaluator, WeightVector, evaluate, gradient
+from difflog.viterbi import Evaluator, evaluate, gradient
 from conftest import ACCEPTANCE_LINES, PARENT_PAIRS, make_family_rules
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -183,10 +185,10 @@ class _FixedDraws:
 
 def test_criterion_6_annealing_constants_bit_exact():
     ok = temperature(0, 0.0001) == 1.0 / (0.0001 * math.log(5.0))
-    w = WeightVector({"r": 0.7})
-    ok = ok and mcmc_propose(w, _FixedDraws([0.0]))["r"] == 0.0
-    ok = ok and abs(mcmc_propose(w, _FixedDraws([0.5]))["r"] - 0.7) < 1e-15
-    ok = ok and mcmc_propose(w, _FixedDraws([1.0]))["r"] == 1.0
+    w = np.array([0.7])
+    ok = ok and mcmc_propose(w, _FixedDraws([0.0]))[0] == 0.0
+    ok = ok and abs(mcmc_propose(w, _FixedDraws([0.5]))[0] - 0.7) < 1e-15
+    ok = ok and mcmc_propose(w, _FixedDraws([1.0]))[0] == 1.0
     # branch continuity: both formulas meet at X = 0.5
     ok = ok and abs(0.7 * math.sqrt(2 * 0.5) - (1 - (1 - 0.7) * math.sqrt(2 * 0.5))) < 1e-15
 

@@ -1,6 +1,9 @@
 """Data model, parsing, grounding, and Boolean fixpoint tests."""
 
+import tempfile
+
 import pytest
+from hypothesis import given
 
 from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
                           LabelSet, ParseError, Rule, SemanticError,
@@ -9,6 +12,7 @@ from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
                           parse_relations, parse_rule_line, parse_rules,
                           validate_rule, write_problem)
 from conftest import PARENT_PAIRS, make_family_rules
+from strategies import SETTINGS, instances
 
 
 def test_fact_ordering_and_str():
@@ -161,6 +165,14 @@ def test_format_rule_round_trip(family_rules):
         assert again == rule
 
 
+@SETTINGS
+@given(instances())
+def test_format_rule_round_trip_random(problem):
+    for rule in problem.rules:
+        assert parse_rule_line(format_rule(rule), "fallback") == rule
+        assert parse_rule_line(format_rule(rule, with_id=False), rule.id) == rule
+
+
 def test_parse_relations_and_errors():
     decls = parse_relations("# comment\ninput parent 2\noutput samegen 2\n")
     assert decls["parent"].kind == "input"
@@ -186,6 +198,19 @@ def test_problem_round_trip(tmp_path, family_problem):
     assert loaded.labels == family_problem.labels
     assert loaded.rules.ids() == family_problem.rules.ids()
     assert loaded.relations == family_problem.relations
+
+
+@SETTINGS
+@given(instances())
+def test_problem_round_trip_random(problem):
+    with tempfile.TemporaryDirectory() as directory:
+        write_problem(directory, problem.relations, problem.input, problem.labels,
+                      problem.rules)
+        loaded = parse_problem(directory)
+    assert loaded.relations == problem.relations
+    assert loaded.input == problem.input
+    assert loaded.labels == problem.labels
+    assert loaded.rules.rules == problem.rules.rules
 
 
 def test_parse_problem_rejects_stray_facts(tmp_path, family_problem):

@@ -3,15 +3,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from difflog.core import (Atom, CandidateRuleSet, Database, Fact, LabelSet,
                           Problem, RelationDecl, Rule)
 from difflog.optimizer import (SearchConfig, SearchRunner, ZeroGradientError,
-                               loss, loss_gradient, mcmc_accept, mcmc_propose,
-                               newton_step, search, separation_check,
-                               temperature)
-from difflog.viterbi import WeightVector, evaluate
+                               clamp, loss, loss_gradient, mcmc_accept,
+                               mcmc_propose, newton_step, search,
+                               separation_check, temperature)
+from difflog.viterbi import evaluate
 
 
 class StubRng:
@@ -40,55 +41,62 @@ def test_loss_on_family(family_problem):
 
 
 def test_loss_gradient_matches_manual(family_problem):
-    w = {"r1": 0.8, "r2": 0.6}
+    w = np.array([0.8, 0.6])
     result = evaluate(family_problem.rules, w, family_problem.input)
     grad = loss_gradient(result, w, family_problem.labels)
     v = 0.48
-    assert abs(grad["r1"] - (-2.0 * (1.0 - v) * v / 0.8)) < 1e-12
-    assert abs(grad["r2"] - (-2.0 * (1.0 - v) * v / 0.6)) < 1e-12
+    assert abs(grad[0] - (-2.0 * (1.0 - v) * v / 0.8)) < 1e-12
+    assert abs(grad[1] - (-2.0 * (1.0 - v) * v / 0.6)) < 1e-12
+    assert grad.base is None  # a runner keeps the gradient, not the running sums
+
+
+def test_clamp_into_open_cube():
+    w = np.array([0.0, 1.0, 0.3])
+    assert clamp(w).tolist() == [1e-6, 1.0 - 1e-6, 0.3]
+    assert w.tolist() == [0.0, 1.0, 0.3]  # original untouched
 
 
 def test_newton_step_single_rule():
     # loss (1-w)^2 at w=0.5: L=0.25, dL/dw=-1, step w - L*g/|g|^2 = 0.75
     problem = make_single_rule_problem()
-    w = WeightVector({"r1": 0.5})
+    w = np.array([0.5])
     result = evaluate(problem.rules, w, problem.input)
     L = loss(result, problem.labels)
     grad = loss_gradient(result, w, problem.labels)
     stepped = newton_step(w, L, grad)
-    assert abs(stepped["r1"] - 0.75) < 1e-12
+    assert abs(stepped[0] - 0.75) < 1e-12
 
 
 def test_newton_step_clamps_into_open_cube():
-    w = WeightVector({"r1": 0.9})
-    stepped = newton_step(w, 10.0, {"r1": -1.0})
-    assert stepped["r1"] == 1.0 - 1e-6
-    stepped = newton_step(w, 10.0, {"r1": 1.0})
-    assert stepped["r1"] == 1e-6
+    w = np.array([0.9])
+    stepped = newton_step(w, 10.0, np.array([-1.0]))
+    assert stepped[0] == 1.0 - 1e-6
+    stepped = newton_step(w, 10.0, np.array([1.0]))
+    assert stepped[0] == 1e-6
 
 
 def test_newton_step_zero_gradient():
-    w = WeightVector({"r1": 0.5})
-    assert newton_step(w, 0.0, {"r1": 0.0}) is w
+    w = np.array([0.5])
+    assert newton_step(w, 0.0, np.array([0.0])) is w
     with pytest.raises(ZeroGradientError):
-        newton_step(w, 0.5, {"r1": 0.0})
+        newton_step(w, 0.5, np.array([0.0]))
 
 
 def test_mcmc_propose_branches():
-    w = WeightVector({"r1": 0.5})
-    assert mcmc_propose(w, StubRng([0.0]))["r1"] == 0.0
-    assert abs(mcmc_propose(w, StubRng([0.5]))["r1"] - 0.5) < 1e-12
-    assert mcmc_propose(w, StubRng([1.0]))["r1"] == 1.0
+    w = np.array([0.5])
+    assert mcmc_propose(w, StubRng([0.0]))[0] == 0.0
+    assert abs(mcmc_propose(w, StubRng([0.5]))[0] - 0.5) < 1e-12
+    assert mcmc_propose(w, StubRng([1.0]))[0] == 1.0
     # below the branch point: w * sqrt(2X)
-    assert abs(mcmc_propose(w, StubRng([0.32]))["r1"] - 0.4) < 1e-12
+    assert abs(mcmc_propose(w, StubRng([0.32]))[0] - 0.4) < 1e-12
 
 
 def test_mcmc_propose_componentwise_and_in_range():
     rng = random.Random(3)
-    w = WeightVector({f"r{i}": rng.random() for i in range(20)})
+    w = np.array([rng.random() for _ in range(20)])
     proposal = mcmc_propose(w, rng)
-    assert set(proposal) == set(w)
-    assert all(0.0 <= v <= 1.0 for v in proposal.values())
+    assert proposal.shape == w.shape
+    assert all(0.0 <= v <= 1.0 for v in proposal)
 
 
 def test_mcmc_accept_downhill_is_certain():

@@ -1,28 +1,35 @@
 """Weighted evaluation: values, provenance, gradients, support."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from difflog.core import Database, Fact, SemanticError, boolean_fixpoint
 from difflog.testkit import random_instance, random_weights
-from difflog.viterbi import (Evaluator, Provenance, WeightVector, evaluate,
-                             gradient, support)
+from difflog.viterbi import Evaluator, Provenance, evaluate, gradient, support
 
 
-def test_weight_vector_validates_range():
-    with pytest.raises(ValueError):
-        WeightVector({"r1": 1.5})
-    with pytest.raises(ValueError):
-        WeightVector({"r1": -0.1})
+@pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf])
+def test_evaluate_validates_weights(family_rules, family_input, bad):
+    ev = Evaluator(family_rules, family_input)
+    with pytest.raises(ValueError, match="r2 is not in"):
+        ev.evaluate({"r1": 0.5, "r2": bad})
+    with pytest.raises(ValueError, match="r2 is not in"):
+        ev.evaluate(np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="expected 2 weights"):
+        ev.evaluate(np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="expected 2 weights"):
+        ev.evaluate(np.array([[0.5, 0.5]]))
 
 
-def test_weight_vector_clamped_and_replace():
-    w = WeightVector({"r1": 0.0, "r2": 1.0})
-    c = w.clamped(1e-6)
-    assert c["r1"] == 1e-6 and c["r2"] == 1.0 - 1e-6
-    assert w.replace({"r1": 0.3})["r1"] == 0.3
-    assert w["r1"] == 0.0  # original untouched
+def test_evaluate_accepts_vector_in_rule_order(family_rules, family_input):
+    ev = Evaluator(family_rules, family_input)
+    by_id = ev.evaluate({"r1": 0.8, "r2": 0.6})
+    by_position = ev.evaluate(np.array([0.8, 0.6]))
+    assert by_id.value == by_position.value
+    assert np.array_equal(by_id.counts, by_position.counts)
 
 
 def test_provenance_undefined_is_explicit():
