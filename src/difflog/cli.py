@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import (ProblemError, format_rule, parse_problem, parse_rules,
-                   validate_rule, write_problem)
+from .core import (ProblemError, format_rule, parse_problem, parse_relations,
+                   parse_rules, validate_rule, write_problem, write_rules)
 from .optimizer import SearchConfig, SearchOutcome, SearchRunner
 from .rulegen import GenConfig, GenerationOverflow, generate
 from .testkit import encode_3cnf, parse_dimacs
@@ -61,8 +61,6 @@ def run_portfolio(problem, seeds: int, base_seed: int, config: SearchConfig,
             elif outcome.status == "solved" and winner is None:
                 winner = runner
         live = still_live
-        if winner is not None:
-            break
     for runner in runners:
         runner.cancel()
 
@@ -189,7 +187,6 @@ def cmd_eval(args) -> int:
 def cmd_gen_rules(args) -> int:
     try:
         directory = Path(args.problem)
-        from .core import parse_relations
         decls = parse_relations((directory / "relations.txt").read_text(),
                                 directory / "relations.txt")
         config = GenConfig(max_body_len=args.max_body_len, k=args.k, cap=args.cap,
@@ -199,8 +196,7 @@ def cmd_gen_rules(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     out_path = directory / "rules.dl"
-    lines = [format_rule(r) for r in rules]
-    out_path.write_text("# candidate rules\n" + "\n".join(lines) + ("\n" if lines else ""))
+    write_rules(rules, out_path)
     print(f"wrote {len(rules)} rules to {out_path}")
     return EXIT_OK
 

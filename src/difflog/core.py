@@ -148,7 +148,7 @@ def validate_rule(rule: Rule, decls: Mapping[str, RelationDecl]) -> None:
 class Database:
     """An immutable set of ground tuples, indexed by relation name."""
 
-    __slots__ = ("_tuples",)
+    __slots__ = ("_tuples", "_sets")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         by_rel: dict[str, set[Fact]] = {}
@@ -156,6 +156,7 @@ class Database:
             by_rel.setdefault(f.relation, set()).add(f)
         object.__setattr__(self, "_tuples",
                            {rel: tuple(sorted(fs)) for rel, fs in sorted(by_rel.items())})
+        object.__setattr__(self, "_sets", {rel: frozenset(fs) for rel, fs in by_rel.items()})
 
     @property
     def tuples(self) -> Mapping[str, tuple[Fact, ...]]:
@@ -169,7 +170,7 @@ class Database:
             yield from fs
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self._tuples.get(fact.relation, ())
+        return fact in self._sets.get(fact.relation, ())
 
     def __len__(self):
         return sum(len(fs) for fs in self._tuples.values())
@@ -804,6 +805,10 @@ def write_problem(directory: str | Path, decls: Mapping[str, RelationDecl],
     for filename, tuples in (("labels.pos", labels.positive), ("labels.neg", labels.negative)):
         rows = ["\t".join((f.relation, *f.args)) for f in sorted(tuples)]
         (directory / filename).write_text("\n".join(rows) + ("\n" if rows else ""))
-    rule_lines = [format_rule(r) for r in rules]
-    header = "# candidate rules\n"
-    (directory / "rules.dl").write_text(header + "\n".join(rule_lines) + ("\n" if rule_lines else ""))
+    write_rules(rules, directory / "rules.dl")
+
+
+def write_rules(rules: Iterable[Rule], path: str | Path) -> None:
+    """Write rules.dl in the standard format; round-trips through parse_problem."""
+    lines = [format_rule(r) for r in rules]
+    Path(path).write_text("# candidate rules\n" + "\n".join(lines) + ("\n" if lines else ""))

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from .core import (OUTPUT, Atom, CandidateRuleSet, RelationDecl, Rule,
-                   format_rule, validate_rule)
+                   validate_rule)
 
 DEFAULT_CAP = 50_000
 
@@ -194,9 +193,3 @@ def generate(decls: Mapping[str, RelationDecl], config: GenConfig) -> CandidateR
                     allow_recursion=config.allow_recursion, cap=config.cap)
     return CandidateRuleSet(
         Rule(f"r{i}", r.head, r.body) for i, r in enumerate(rules, start=1))
-
-
-def emit_rules(rules: Iterable[Rule], path: str | Path) -> None:
-    """Write rules.dl in the standard format; round-trips through parse_problem."""
-    lines = [format_rule(r) for r in rules]
-    Path(path).write_text("# candidate rules\n" + "\n".join(lines) + ("\n" if lines else ""))

@@ -8,11 +8,13 @@ values differentiable in closed form (dv_t/dw_r = count_r(t) * v_t / w_r).
 
 Weights are one float64 vector in rule-position order.  An evaluation is
 two arrays over fact rows: the values, and a (facts x rules) count matrix
-whose rows are the provenance monomials in N[X].
+whose rows are the provenance monomials in N[X].  Clauses are laid out
+conclusion-major, so a round is one segmented max (see ``Evaluator``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -52,7 +54,9 @@ class Provenance:
         return dict(self._counts)
 
     def count(self, rule_id: str) -> int:
-        return self.counts.get(rule_id, 0)
+        if self._counts is None:
+            raise ValueError("no derivation: provenance is undefined")
+        return self._counts.get(rule_id, 0)
 
     def __repr__(self):
         return "Provenance(undefined)" if self._counts is None else f"Provenance({self._counts!r})"
@@ -116,9 +120,14 @@ class Evaluator:
     """Reusable weighted evaluator for a fixed rule set and input database.
 
     Grounding runs once, in the constructor: the kernel derives the Boolean
-    fixpoint of all candidate rules and every ground clause over it.
-    Repeated evaluations at different weights then run a vectorized
-    max-product fixpoint over the fixed clause set.
+    fixpoint of all candidate rules and every ground clause over it.  Each
+    evaluation then runs a vectorized max-product fixpoint over those clauses.
+
+    Clauses are stably sorted by conclusion: each head's clauses form one
+    segment in clause-index order, so its first position attaining the max is
+    the lowest-index winning clause.  Each body position has one antecedent
+    column; shorter bodies point at a pad row of value 1 and zero counts, and
+    multiplying by 1.0 is exact, so every product stays ((w * u0) * u1) * u2.
     """
 
     def __init__(self, rules: CandidateRuleSet | Iterable[Rule], input: Database,
@@ -136,17 +145,25 @@ class Evaluator:
         self._facts = grounding.facts
         self._input_idx = grounding.input_idx
         self.derivable_count = len(grounding.facts) - len(grounding.input_idx)
-        self._concl = grounding.concl
-        self._crule = grounding.crule
-        # clauses grouped by body length for vectorized products; each
-        # clause's group and row there locate its antecedents
-        self._groups = grounding.groups
-        n = len(grounding)
-        self._cgroup = np.empty(n, dtype=np.int64)
-        self._crow = np.empty(n, dtype=np.int64)
-        for g, (pos, _) in enumerate(self._groups):
-            self._cgroup[pos] = g
-            self._crow[pos] = np.arange(len(pos))
+        # the conclusion-major layout; dropping clause arrays as it is built lowers peak memory
+        concl, crule, groups = grounding.concl, grounding.crule, list(grounding.groups)
+        del grounding
+        order = np.argsort(concl, kind="stable")
+        self._rule = crule[order]
+        sizes = np.bincount(concl, minlength=len(self._facts))
+        del concl, crule
+        self._heads = np.flatnonzero(sizes)
+        self._lengths = sizes[self._heads]
+        self._starts = np.cumsum(self._lengths) - self._lengths
+        sorted_pos = np.empty_like(order)
+        sorted_pos[order] = np.arange(len(order))
+        del order
+        width = max((ante.shape[1] for _, ante in groups), default=0)
+        self._cols = np.full((width, len(sorted_pos)), len(self._facts) + 1, dtype=np.intp)
+        while groups:
+            pos, ante = groups.pop()
+            for j, column in enumerate(ante.T):
+                self._cols[j, sorted_pos[pos]] = column
         self._row = {f: i for i, f in enumerate(self._facts)}
         self._label_rows: dict[LabelSet, tuple[np.ndarray, int]] = {}
 
@@ -188,43 +205,33 @@ class Evaluator:
         ValueError.
         """
         wv = self._weight_vector(w)
-        n_facts = len(self._facts)
-        n_clauses = len(self._concl)
-        u = np.zeros(n_facts + 1)
-        u[self._input_idx] = 1.0
-        counts = np.zeros((n_facts + 1, len(self.rule_ids)), dtype=np.int64)
-
-        vals = np.empty(n_clauses)
-        rounds = 0
-        while True:
-            rounds += 1
-            for pos, ante in self._groups:
-                group_vals = wv[self._crule[pos]]
-                for j in range(ante.shape[1]):
-                    group_vals = group_vals * u[ante[:, j]]
-                vals[pos] = group_vals
-            best = u.copy()
-            np.maximum.at(best, self._concl, vals)
-            changed = best > u
+        # rows: the facts, the zero row of facts outside the grounding, the pad row
+        u = np.zeros(len(self._facts) + 2)
+        u[self._input_idx] = u[-1] = 1.0
+        counts = np.zeros((len(u), len(self.rule_ids)), dtype=np.int64)
+        weights = wv[self._rule]
+        vals, antecedent = np.empty_like(weights), np.empty_like(weights)
+        for rounds in itertools.count(1):
+            # ((w * u0) * u1) * u2: weight first, antecedents left to right, pads last
+            vals[:] = weights
+            for col in self._cols:
+                np.multiply(vals, np.take(u, col, out=antecedent, mode="clip"), out=vals)
+            best = np.maximum.reduceat(vals, self._starts)
+            changed = best > u[self._heads]
             if not changed.any():
                 break
-            # the lowest-index clause attaining a changed fact's new value wins
-            attain = (vals == best[self._concl]) & changed[self._concl]
-            winner = np.full(n_facts + 1, n_clauses, dtype=np.int64)
-            np.minimum.at(winner, self._concl[attain], np.nonzero(attain)[0])
-            facts = np.nonzero(changed)[0]
-            wins = winner[facts]
+            # a changed head's winner: the first position in its segment attaining the max
+            attain = np.flatnonzero(vals == np.repeat(best, self._lengths))
+            wins = attain[np.searchsorted(attain, self._starts[changed])]
+            facts = self._heads[changed]
             # a winner's row: its rule once, plus its antecedents' rows of the last round
             rows = np.zeros((len(facts), len(self.rule_ids)), dtype=np.int64)
-            rows[np.arange(len(facts)), self._crule[wins]] = 1
-            groups = self._cgroup[wins]
-            for g, (_, ante) in enumerate(self._groups):
-                mine = np.flatnonzero(groups == g)
-                for column in ante[self._crow[wins[mine]]].T:
-                    rows[mine] += counts[column]
+            rows[np.arange(len(facts)), self._rule[wins]] = 1
+            for col in self._cols:
+                rows += counts[col[wins]]
             counts[facts] = rows
-            u = best
-        return EvaluationResult(u, counts, rounds, self)
+            u[facts] = best[changed]
+        return EvaluationResult(u[:-1], counts[:-1], rounds, self)
 
 
 def evaluate(rules: CandidateRuleSet | Iterable[Rule], w: np.ndarray | Mapping[str, float],

@@ -3,7 +3,7 @@
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
                           LabelSet, ParseError, Rule, SemanticError,
@@ -29,6 +29,23 @@ def test_database_dedups_and_indexes():
     assert db.relation("edge") == (f,)
     assert f in db
     assert Fact("edge", ("b", "a")) not in db
+
+
+fact_lists = st.lists(st.builds(Fact, st.sampled_from(["p", "q", "r"]),
+                                st.tuples(st.sampled_from("abc"), st.sampled_from("abc"))),
+                      max_size=12)
+
+
+@SETTINGS
+@given(fact_lists, fact_lists)
+def test_database_membership_matches_its_facts(facts, probes):
+    """Probes include facts of relations the database does not hold."""
+    db = Database(facts)
+    held = set(db.facts())
+    for f in [*facts, *probes]:
+        assert (f in db) == (f in held)
+    assert list(db.facts()) == sorted(held)
+    assert db == Database(reversed(facts)) and hash(db) == hash(Database(reversed(facts)))
 
 
 def test_database_union_and_equality():

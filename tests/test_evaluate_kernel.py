@@ -1,0 +1,158 @@
+"""Differential tests: the conclusion-major evaluate kernel against the group-wise one.
+
+``Evaluator.evaluate`` sorts the clauses by conclusion, pads every body to
+one width with a row of value 1, and takes a segmented max with the first
+attaining position as the winner.  ``reference_evaluate`` is the kernel it
+replaced: clauses grouped by body length, ``np.maximum.at`` for the values
+and ``np.minimum.at`` for the lowest-index winner, over the arrays of
+``core.ground``.  Values must be bitwise equal and counts and rounds equal.
+"""
+
+import random
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from difflog.core import Atom, Database, Fact, Rule, ground
+from difflog.viterbi import Evaluator
+from strategies import SETTINGS, instances
+
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def reference_evaluate(grounding, wv: np.ndarray):
+    """Values, counts and rounds of the group-wise max-product fixpoint."""
+    n_facts, n_clauses = len(grounding.facts), len(grounding)
+    groups, concl, crule = grounding.groups, grounding.concl, grounding.crule
+    # each clause's group and row there locate its antecedents
+    cgroup = np.empty(n_clauses, dtype=np.int64)
+    crow = np.empty(n_clauses, dtype=np.int64)
+    for g, (pos, _) in enumerate(groups):
+        cgroup[pos] = g
+        crow[pos] = np.arange(len(pos))
+    u = np.zeros(n_facts + 1)
+    u[grounding.input_idx] = 1.0
+    counts = np.zeros((n_facts + 1, len(grounding.rule_ids)), dtype=np.int64)
+
+    vals = np.empty(n_clauses)
+    rounds = 0
+    while True:
+        rounds += 1
+        for pos, ante in groups:
+            group_vals = wv[crule[pos]]
+            for j in range(ante.shape[1]):
+                group_vals = group_vals * u[ante[:, j]]
+            vals[pos] = group_vals
+        best = u.copy()
+        np.maximum.at(best, concl, vals)
+        changed = best > u
+        if not changed.any():
+            break
+        # the lowest-index clause attaining a changed fact's new value wins
+        attain = (vals == best[concl]) & changed[concl]
+        winner = np.full(n_facts + 1, n_clauses, dtype=np.int64)
+        np.minimum.at(winner, concl[attain], np.nonzero(attain)[0])
+        facts = np.nonzero(changed)[0]
+        wins = winner[facts]
+        # a winner's row: its rule once, plus its antecedents' rows of the last round
+        rows = np.zeros((len(facts), len(grounding.rule_ids)), dtype=np.int64)
+        rows[np.arange(len(facts)), crule[wins]] = 1
+        won_groups = cgroup[wins]
+        for g, (_, ante) in enumerate(groups):
+            mine = np.flatnonzero(won_groups == g)
+            for column in ante[crow[wins[mine]]].T:
+                rows[mine] += counts[column]
+        counts[facts] = rows
+        u = best
+    return u, counts, rounds
+
+
+def assert_matches_reference(rules, input: Database, weights) -> Evaluator:
+    ev = Evaluator(rules, input)
+    grounding = ground(ev.rules, input)
+    for wv in weights:
+        result = ev.evaluate(wv)
+        values, counts, rounds = reference_evaluate(grounding, np.asarray(wv, dtype=np.float64))
+        assert result.values.tobytes() == values.tobytes()
+        assert result.counts.dtype == counts.dtype and np.array_equal(result.counts, counts)
+        assert result.rounds == rounds
+    return ev
+
+
+def weight_vectors(rng: random.Random, n_rules: int) -> list[np.ndarray]:
+    """Random weights, and weights on a grid that forces ties between clauses."""
+    return [np.array([rng.random() for _ in range(n_rules)]),
+            np.array([rng.choice(GRID) for _ in range(n_rules)]),
+            np.array([rng.choice(GRID[2:]) for _ in range(n_rules)]),
+            np.ones(n_rules)]
+
+
+@SETTINGS
+@given(instances(), st.randoms(use_true_random=False))
+def test_evaluate_matches_group_wise_reference(problem, rng):
+    assert_matches_reference(problem.rules, problem.input,
+                             weight_vectors(rng, len(problem.rules)))
+
+
+def rule(rid: str, head: Atom, *body: Atom) -> Rule:
+    return Rule(rid, head, tuple(body))
+
+
+P, Q, E = (lambda *a: Atom("p", a)), (lambda *a: Atom("q", a)), (lambda *a: Atom("e", a))
+
+
+def test_no_clauses_is_one_round_of_inputs():
+    input = Database([Fact("e", ("a", "b"))])
+    ev = assert_matches_reference([rule("r1", Q("x"), P("x"))], input, [np.array([0.5])])
+    result = ev.evaluate(np.array([0.5]))
+    assert result.rounds == 1
+    assert result.values.tolist() == [1.0, 0.0]
+    assert not result.counts.any()
+
+
+def test_head_that_is_an_input_fact_keeps_value_one():
+    input = Database([Fact("p", ("a",)), Fact("p", ("b",)), Fact("e", ("a", "b"))])
+    rules = [rule("r1", P("y"), P("x"), E("x", "y")), rule("r2", Q("x"), P("x"))]
+    ev = assert_matches_reference(rules, input, [np.array([0.5, 0.5]), np.ones(2)])
+    result = ev.evaluate(np.array([0.5, 0.5]))
+    row = ev.row_of(Fact("p", ("b",)))
+    assert result.values[row] == 1.0 and not result.counts[row].any()
+    assert result.value_of(Fact("q", ("b",))) == 0.5
+
+
+def test_head_with_exactly_one_clause():
+    input = Database([Fact("p", ("a",))])
+    ev = assert_matches_reference([rule("r1", Q("x"), P("x"))], input, [np.array([0.3])])
+    result = ev.evaluate(np.array([0.3]))
+    assert result.value_of(Fact("q", ("a",))) == 0.3
+    assert result.provenance_of(Fact("q", ("a",))).counts == {"r1": 1}
+
+
+def test_mixed_body_lengths_in_one_pool():
+    input = Database([Fact("e", ("a", "b")), Fact("f", ("b", "c")), Fact("g", ("c", "d"))])
+    F, G = (lambda *a: Atom("f", a)), (lambda *a: Atom("g", a))
+    S, T = (lambda *a: Atom("s", a)), (lambda *a: Atom("t", a))
+    rules = [rule("r1", Q("x", "y"), E("x", "y")),
+             rule("r2", Q("x", "y"), F("x", "y")),
+             rule("r3", Q("x", "y"), G("x", "y")),
+             rule("r4", Q("x", "z"), E("x", "y"), F("y", "z")),
+             rule("r5", S("x", "w"), Q("x", "y"), Q("y", "z"), Q("z", "w")),
+             rule("r6", T("x", "w"), E("x", "y"), F("y", "z"), G("z", "w")),
+             rule("r7", T("x", "w"), S("x", "w"))]
+    # three antecedents of different derived values: their product depends
+    # on the association order
+    rng = random.Random(4)
+    weights = [w for _ in range(10) for w in weight_vectors(rng, len(rules))]
+    ev = assert_matches_reference(rules, input, weights)
+    assert {len(r.body) for r in ev.rules} == {1, 2, 3}
+
+
+def test_fact_outside_the_grounding_has_the_zero_row():
+    input = Database([Fact("p", ("a",))])
+    ev = assert_matches_reference([rule("r1", Q("x"), P("x"))], input, [np.array([0.7])])
+    result = ev.evaluate(np.array([0.7]))
+    absent = Fact("q", ("zz",))
+    assert ev.row_of(absent) == len(result.values) - 1
+    assert result.value_of(absent) == 0.0
+    assert not result.counts[ev.row_of(absent)].any()
+    assert not result.provenance_of(absent).defined

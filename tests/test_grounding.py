@@ -105,15 +105,16 @@ def reference_evaluate(oracle, rule_ids, w):
 
 
 def assert_matches_oracle(rules: CandidateRuleSet, input: Database, oracle, weights) -> None:
-    """Evaluator's arrays, values and provenance equal those built from ``oracle``."""
-    ev = Evaluator(rules, input)
-    assert ev._facts == oracle["facts"]
-    assert same_array(ev._input_idx, oracle["input_idx"])
-    assert same_array(ev._concl, oracle["concl"])
-    assert same_array(ev._crule, oracle["crule"])
-    assert len(ev._groups) == len(oracle["groups"])
-    for (pos, ante), (opos, oante) in zip(ev._groups, oracle["groups"]):
+    """The kernel arrays, and Evaluator values and provenance, equal those from ``oracle``."""
+    grounding = ground(rules, input)
+    assert grounding.facts == oracle["facts"]
+    assert same_array(grounding.input_idx, oracle["input_idx"])
+    assert same_array(grounding.concl, oracle["concl"])
+    assert same_array(grounding.crule, oracle["crule"])
+    assert len(grounding.groups) == len(oracle["groups"])
+    for (pos, ante), (opos, oante) in zip(grounding.groups, oracle["groups"]):
         assert same_array(pos, opos) and same_array(ante, oante)
+    ev = Evaluator(rules, input)
     for w in weights:
         result = ev.evaluate(w)
         values, provenance, rounds = reference_evaluate(oracle, ev.rule_ids, w)

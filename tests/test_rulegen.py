@@ -3,9 +3,9 @@
 import pytest
 
 from difflog.core import (Atom, Rule, parse_relations, parse_rule_line,
-                          parse_rules, validate_rule)
+                          parse_rules, validate_rule, write_rules)
 from difflog.rulegen import (GenConfig, GenerationOverflow, augment,
-                             canonicalize, chain_seeds, emit_rules, generate)
+                             canonicalize, chain_seeds, generate)
 
 FAMILY = "input parent 2\noutput samegen 2\n"
 ANDERSEN = "input addr 2\ninput copy 2\ninput load 2\ninput store 2\noutput pt 2\n"
@@ -109,7 +109,7 @@ def test_emit_rules_round_trip(tmp_path):
     decls = parse_relations(FAMILY)
     rules = generate(decls, GenConfig(max_body_len=2, k=0))
     path = tmp_path / "rules.dl"
-    emit_rules(rules, path)
+    write_rules(rules, path)
     parsed = parse_rules(path.read_text(), path)
     assert [r.id for r in parsed] == rules.ids()
     assert [str(r) for r in parsed] == [str(r) for r in rules]

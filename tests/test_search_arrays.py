@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from difflog.core import (Atom, CandidateRuleSet, Database, Fact, LabelSet,
-                          Problem, RelationDecl, Rule, parse_problem)
+from difflog.core import (Atom, CandidateRuleSet, Database, Fact, Grounding,
+                          LabelSet, Problem, RelationDecl, Rule, ground,
+                          parse_problem)
 from difflog.optimizer import (ZeroGradientError, clamp, loss, loss_gradient,
                                mcmc_propose, newton_step, separation_check)
 from difflog.testkit import encode_3cnf, parse_dimacs, random_weights
@@ -29,40 +30,46 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data" / "synth"
 
 
-def reference_evaluate(ev: Evaluator, w: dict[str, float]):
-    """Max-product fixpoint over ``ev``'s clause arrays, merging Counters per fact."""
-    wv = np.array([w[rid] for rid in ev.rule_ids], dtype=np.float64)
-    n_facts, n_clauses = len(ev._facts), len(ev._concl)
+def reference_evaluate(grounding: Grounding, w: dict[str, float]):
+    """Max-product fixpoint over ``core.ground``'s clause arrays, merging Counters per fact."""
+    wv = np.array([w[rid] for rid in grounding.rule_ids], dtype=np.float64)
+    n_facts, n_clauses = len(grounding.facts), len(grounding)
+    # each clause's group and row there locate its antecedents
+    cgroup = np.empty(n_clauses, dtype=np.int64)
+    crow = np.empty(n_clauses, dtype=np.int64)
+    for g, (pos, _) in enumerate(grounding.groups):
+        cgroup[pos] = g
+        crow[pos] = np.arange(len(pos))
     u = np.zeros(n_facts)
-    u[ev._input_idx] = 1.0
-    prov: dict[int, Counter] = {int(i): Counter() for i in ev._input_idx}
+    u[grounding.input_idx] = 1.0
+    prov: dict[int, Counter] = {int(i): Counter() for i in grounding.input_idx}
     vals = np.empty(n_clauses)
     rounds = 0
     while True:
         rounds += 1
-        for pos, ante in ev._groups:
-            group_vals = wv[ev._crule[pos]]
+        for pos, ante in grounding.groups:
+            group_vals = wv[grounding.crule[pos]]
             for j in range(ante.shape[1]):
                 group_vals = group_vals * u[ante[:, j]]
             vals[pos] = group_vals
         best = u.copy()
-        np.maximum.at(best, ev._concl, vals)
+        np.maximum.at(best, grounding.concl, vals)
         changed = best > u
         if not changed.any():
             break
-        attain = (vals == best[ev._concl]) & changed[ev._concl]
+        attain = (vals == best[grounding.concl]) & changed[grounding.concl]
         winner = np.full(n_facts, n_clauses, dtype=np.int64)
-        np.minimum.at(winner, ev._concl[attain], np.nonzero(attain)[0])
+        np.minimum.at(winner, grounding.concl[attain], np.nonzero(attain)[0])
         new_prov: dict[int, Counter] = {}
         facts = np.nonzero(changed)[0]
         wins = winner[facts]
-        groups = ev._cgroup[wins]
-        for g, (_, ante) in enumerate(ev._groups):
+        groups = cgroup[wins]
+        for g, (_, ante) in enumerate(grounding.groups):
             mine = groups == g
             won = wins[mine]
-            for fi, r, ants in zip(facts[mine].tolist(), ev._crule[won].tolist(),
-                                   ante[ev._crow[won]].tolist()):
-                counts = Counter({ev.rule_ids[r]: 1})
+            for fi, r, ants in zip(facts[mine].tolist(), grounding.crule[won].tolist(),
+                                   ante[crow[won]].tolist()):
+                counts = Counter({grounding.rule_ids[r]: 1})
                 for a in ants:
                     counts.update(prov[a])
                 new_prov[fi] = counts
@@ -71,7 +78,7 @@ def reference_evaluate(ev: Evaluator, w: dict[str, float]):
 
     value: dict[Fact, float] = {}
     provenance: dict[Fact, dict[str, int]] = {}
-    for i, fact in enumerate(ev._facts):
+    for i, fact in enumerate(grounding.facts):
         if u[i] > 0.0:
             value[fact] = float(u[i])
             provenance[fact] = {r: c for r, c in prov[i].items() if c}
@@ -169,11 +176,12 @@ def weight_maps(rng: random.Random, rule_ids) -> list[dict[str, float]]:
 @given(instances(), st.randoms(use_true_random=False))
 def test_search_core_matches_counter_reference(problem, rng):
     ev = Evaluator(problem.rules, problem.input)
+    grounding = ground(problem.rules, problem.input)
     labels = with_absent_labels(problem, rng)
     for w in weight_maps(rng, ev.rule_ids):
         wv = np.array([w[rid] for rid in ev.rule_ids])
         result = ev.evaluate(wv)
-        value, provenance, rounds = reference_evaluate(ev, w)
+        value, provenance, rounds = reference_evaluate(grounding, w)
 
         assert result.rounds == rounds
         assert result.value == value
@@ -216,7 +224,7 @@ def assert_search_path_matches(problem, rng: random.Random) -> None:
     wv = clamp(np.array([w[rid] for rid in ev.rule_ids]))
     w = dict(zip(ev.rule_ids, wv.tolist()))
     result = ev.evaluate(wv)
-    value, provenance, _ = reference_evaluate(ev, w)
+    value, provenance, _ = reference_evaluate(ground(problem.rules, problem.input), w)
     assert bits(loss(result, problem.labels)) == bits(reference_loss(value, problem.labels))
     ref_grad = reference_loss_gradient(value, provenance, ev.rule_ids, w, problem.labels)
     assert bits(loss_gradient(result, wv, problem.labels)) == \

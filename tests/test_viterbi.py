@@ -37,6 +37,8 @@ def test_provenance_undefined_is_explicit():
     assert not undef.defined
     with pytest.raises(ValueError):
         undef.counts
+    with pytest.raises(ValueError):
+        undef.count("r1")
     assert undef is Provenance.undefined()
     assert Provenance({"r1": 2}).count("r1") == 2
     assert Provenance({"r1": 2}).count("r9") == 0

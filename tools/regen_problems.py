@@ -19,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from difflog.core import (Database, Fact, Rule, boolean_fixpoint, format_rule,
-                          parse_relations, parse_rule_line)
+                          parse_relations, parse_rule_line, write_rules)
 from difflog.rulegen import _canonical_key, augment, chain_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,8 +87,7 @@ def write_problem_dir(name: str, relations_text: str, facts: list[Fact],
     missing = [format_rule(t) for t in targets if _canonical_key(t) not in keys]
     if missing:
         raise SystemExit(f"{name}: target rules missing from candidates: {missing}")
-    (directory / "rules.dl").write_text(
-        "# candidate rules\n" + "\n".join(format_rule(r) for r in rules) + "\n")
+    write_rules(rules, directory / "rules.dl")
 
     heldout = directory / "heldout"
     heldout.mkdir(exist_ok=True)
