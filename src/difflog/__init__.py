@@ -6,16 +6,15 @@ a hybrid Newton / simulated-annealing search, and an exact discrete
 program is recovered from the optimum.
 """
 
-from .core import (Atom, CandidateRuleSet, Const, Database, Fact, GroundClause,
-                   LabelSet, ParseError, Problem, ProblemError, RelationDecl,
-                   Rule, SemanticError, boolean_fixpoint, check_solution,
-                   ground, parse_problem, write_problem, write_rules)
+from .core import (Atom, CandidateRuleSet, Const, Database, Fact, LabelSet,
+                   ParseError, Problem, ProblemError, RelationDecl, Rule,
+                   SemanticError, boolean_fixpoint, check_solution, ground,
+                   parse_problem, write_problem, write_rules)
 from .optimizer import (SearchConfig, SearchOutcome, SearchRunner, loss,
                         mcmc_accept, mcmc_propose, newton_step, search,
                         separation_check, temperature)
 from .rulegen import GenConfig, augment, chain_seeds, generate
 from .testkit import brute_force_value, encode_3cnf, random_instance
-from .viterbi import (EvaluationResult, Evaluator, Provenance, evaluate,
-                      gradient, support)
+from .viterbi import EvaluationResult, Evaluator, Provenance, gradient
 
 __version__ = "0.1.0"

@@ -217,8 +217,8 @@ def cmd_encode_3cnf(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        entries = [line.strip() for line in Path(args.manifest).read_text().splitlines()
-                   if line.strip() and not line.startswith("#")]
+        lines = [line.strip() for line in Path(args.manifest).read_text().splitlines()]
+        entries = [line for line in lines if line and not line.startswith("#")]
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

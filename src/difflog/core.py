@@ -4,7 +4,10 @@ Constants are opaque strings.  Rules are pure positive Datalog: no
 negation, no arithmetic, and every head variable must occur in the body
 (range restriction).  One semi-naive, indexed kernel grounds a rule set: it
 derives the least fixpoint and emits every ground clause over it in one
-pass.  All structures are immutable after construction and
+pass, as the arrays that weighted evaluation runs on.  This module alone
+fixes the clause order, (conclusion, rule id, antecedents), which decides
+the winning derivation among equal values; bodies shorter than the longest
+are padded with -1.  All structures are immutable after construction and
 safe to share across threads.
 """
 
@@ -197,18 +200,6 @@ class LabelSet:
         overlap = self.positive & self.negative
         if overlap:
             raise SemanticError(f"tuples labeled both positive and negative: {sorted(overlap)}")
-
-
-@dataclass(frozen=True)
-class GroundClause:
-    """A rule instantiated with constants.
-
-    ``antecedents`` preserves body-literal order and multiplicity.
-    """
-
-    rule_id: str
-    antecedents: tuple[Fact, ...]
-    conclusion: Fact
 
 
 class CandidateRuleSet:
@@ -493,60 +484,54 @@ class _Kernel:
         inputs = list(self.input.facts())
         facts = [inputs[fid] if fid < self.n_input else self._to_fact(fid) for fid in order]
 
-        # clauses sorted by (rule id, conclusion, antecedents), grouped by body length
-        concl, crule = [], []
-        by_len: dict[int, tuple[list, list]] = {}
-        n_clauses = 0
-        for r in sorted(range(len(self.rules)), key=lambda r: self.rules[r].id):
-            if not self.clauses[r]:
-                continue
+        # the rules with clauses in id order, each one's sorted by (conclusion, antecedents)
+        by_id = sorted((r for r in range(len(self.rules)) if self.clauses[r]),
+                       key=lambda r: self.rules[r].id)
+        sizes = [len(self.clauses[r]) // (len(self.rules[r].body) + 1) for r in by_id]
+        width = max((len(self.rules[r].body) for r in by_id), default=0)
+        concl = np.empty(sum(sizes), dtype=np.int64)
+        cols = np.full((width, len(concl)), -1, dtype=np.intp)
+        lo = 0
+        for r, n in zip(by_id, sizes):
             k = len(self.rules[r].body)
-            rows = position[np.frombuffer(self.clauses[r], dtype=np.int64).reshape(-1, k + 1)]
+            rows = position[np.frombuffer(self.clauses[r], dtype=np.int64).reshape(n, k + 1)]
             rows = rows[np.lexsort(rows.T[::-1])]
-            concl.append(rows[:, 0])
-            crule.append(np.full(len(rows), r, dtype=np.int64))
-            pos, ante = by_len.setdefault(k, ([], []))
-            pos.append(np.arange(n_clauses, n_clauses + len(rows), dtype=np.int64))
-            ante.append(rows[:, 1:])
-            n_clauses += len(rows)
-        empty = np.zeros(0, dtype=np.int64)
+            concl[lo:lo + n] = rows[:, 0]
+            cols[:k, lo:lo + n] = rows[:, 1:].T
+            lo += n
+        rule = np.repeat(np.array(by_id, dtype=np.int64), sizes)
+        # a stable sort by conclusion gives (conclusion, rule id, antecedents) order;
+        # take keeps the columns C-contiguous
+        order = np.argsort(concl, kind="stable")
         return Grounding(
             facts=facts,
             input_idx=np.sort(position[:self.n_input]),
             rule_ids=tuple(r.id for r in self.rules),
-            concl=np.concatenate(concl) if concl else empty,
-            crule=np.concatenate(crule) if crule else empty,
-            groups=[(np.concatenate(pos), np.concatenate(ante))
-                    for _, (pos, ante) in sorted(by_len.items())])
+            concl=concl[order],
+            rule=rule[order],
+            cols=np.take(cols, order, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
 class Grounding:
     """The least fixpoint of a rule set and every ground clause over it, as arrays.
 
-    Clauses are numbered in (rule id, conclusion, antecedents) order; facts
-    are referred to by their position in the sorted ``facts`` list.
+    Facts are referred to by their position in the sorted ``facts`` list.
+    Clauses are numbered in (conclusion, rule id, antecedents) order, so each
+    conclusion's clauses are one run, and within it the lower index belongs
+    to the lower rule id.  ``cols[j, c]`` is the antecedent at body position
+    ``j`` of clause ``c``, or -1 past the end of a shorter body.
     """
 
-    facts: list[Fact]                            # input and derived facts, sorted
-    input_idx: np.ndarray                        # positions of the input facts
-    rule_ids: tuple[str, ...]                    # by rule position
-    concl: np.ndarray                            # clause -> conclusion position
-    crule: np.ndarray                            # clause -> rule position
-    groups: list[tuple[np.ndarray, np.ndarray]]  # per body length: clauses, antecedents
+    facts: list[Fact]          # input and derived facts, sorted
+    input_idx: np.ndarray      # positions of the input facts
+    rule_ids: tuple[str, ...]  # by rule position
+    concl: np.ndarray          # clause -> conclusion position
+    rule: np.ndarray           # clause -> rule position
+    cols: np.ndarray           # (max body length x clauses) intp, C-contiguous, -1 padded
 
     def __len__(self) -> int:
         return len(self.concl)
-
-    def __iter__(self) -> Iterator[GroundClause]:
-        """The clauses as ``GroundClause``s, in clause order."""
-        clauses: list = [None] * len(self)
-        for pos, ante in self.groups:
-            for c, row in zip(pos.tolist(), ante.tolist()):
-                clauses[c] = GroundClause(self.rule_ids[self.crule[c]],
-                                          tuple(self.facts[a] for a in row),
-                                          self.facts[self.concl[c]])
-        return iter(clauses)
 
 
 def ground(rules: Iterable[Rule], input: Database) -> Grounding:

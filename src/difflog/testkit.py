@@ -1,7 +1,8 @@
 """Independent oracles and adversarial instance generation.
 
 naive_ground and naive_fixpoint are nested-loop grounding and naive
-fixpoint iteration, kept only to check the grounding kernel in ``core``.
+fixpoint iteration, kept only to check the grounding kernel in ``core``;
+ground_clauses reads the kernel's clause arrays as the same GroundClauses.
 brute_force_value enumerates derivation trees directly from the defining
 max-product semantics, independent of the fixpoint evaluator.  encode_3cnf
 builds the rule-selection instance whose solvability mirrors 3-CNF
@@ -13,14 +14,34 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import (INPUT, OUTPUT, Atom, CandidateRuleSet, Const, Constant,
-                   Database, Fact, GroundClause, LabelSet, Problem,
-                   ProblemError, RelationDecl, Rule, boolean_fixpoint,
-                   check_solution)
+                   Database, Fact, Grounding, LabelSet, Problem, ProblemError,
+                   RelationDecl, Rule, boolean_fixpoint, check_solution)
 
 TREE_GUARD = 10_000
+
+
+@dataclass(frozen=True)
+class GroundClause:
+    """A rule instantiated with constants.
+
+    ``antecedents`` preserves body-literal order and multiplicity.
+    """
+
+    rule_id: str
+    antecedents: tuple[Fact, ...]
+    conclusion: Fact
+
+
+def ground_clauses(grounding: Grounding) -> list[GroundClause]:
+    """The clauses of ``core.ground``'s arrays as ``GroundClause``s, in clause order."""
+    facts, rule_ids = grounding.facts, grounding.rule_ids
+    return [GroundClause(rule_ids[r], tuple(facts[a] for a in ants if a >= 0), facts[c])
+            for c, r, ants in zip(grounding.concl.tolist(), grounding.rule.tolist(),
+                                  grounding.cols.T.tolist())]
 
 
 def _match_atom(atom: Atom, fact: Fact, binding: dict[str, Constant]) -> dict[str, Constant] | None:

@@ -8,8 +8,9 @@ values differentiable in closed form (dv_t/dw_r = count_r(t) * v_t / w_r).
 
 Weights are one float64 vector in rule-position order.  An evaluation is
 two arrays over fact rows: the values, and a (facts x rules) count matrix
-whose rows are the provenance monomials in N[X].  Clauses are laid out
-conclusion-major, so a round is one segmented max (see ``Evaluator``).
+whose rows are the provenance monomials in N[X].  ``core.ground`` lays the
+clauses out conclusion-major, so a round is one segmented max (see
+``Evaluator``).
 """
 
 from __future__ import annotations
@@ -123,11 +124,13 @@ class Evaluator:
     fixpoint of all candidate rules and every ground clause over it.  Each
     evaluation then runs a vectorized max-product fixpoint over those clauses.
 
-    Clauses are stably sorted by conclusion: each head's clauses form one
-    segment in clause-index order, so its first position attaining the max is
-    the lowest-index winning clause.  Each body position has one antecedent
-    column; shorter bodies point at a pad row of value 1 and zero counts, and
-    multiplying by 1.0 is exact, so every product stays ((w * u0) * u1) * u2.
+    Clauses are taken in the order ``core.ground`` numbers them, which is
+    conclusion-major: each head's clauses form one segment, and its first
+    position attaining the max is the lowest-index winning clause.  Each body
+    position has one antecedent column.  The evaluator owns two rows past
+    the facts: the zero row of facts outside the grounding, and the pad row,
+    of value 1 and zero counts, that shorter bodies point at.  Multiplying by
+    1.0 is exact, so every product stays ((w * u0) * u1) * u2.
     """
 
     def __init__(self, rules: CandidateRuleSet | Iterable[Rule], input: Database,
@@ -145,25 +148,14 @@ class Evaluator:
         self._facts = grounding.facts
         self._input_idx = grounding.input_idx
         self.derivable_count = len(grounding.facts) - len(grounding.input_idx)
-        # the conclusion-major layout; dropping clause arrays as it is built lowers peak memory
-        concl, crule, groups = grounding.concl, grounding.crule, list(grounding.groups)
-        del grounding
-        order = np.argsort(concl, kind="stable")
-        self._rule = crule[order]
-        sizes = np.bincount(concl, minlength=len(self._facts))
-        del concl, crule
+        self._rule = grounding.rule
+        # the grounding is this evaluator's own, so its pads take the pad row in place
+        self._cols = grounding.cols
+        self._cols[self._cols < 0] = len(self._facts) + 1
+        sizes = np.bincount(grounding.concl, minlength=len(self._facts))
         self._heads = np.flatnonzero(sizes)
         self._lengths = sizes[self._heads]
         self._starts = np.cumsum(self._lengths) - self._lengths
-        sorted_pos = np.empty_like(order)
-        sorted_pos[order] = np.arange(len(order))
-        del order
-        width = max((ante.shape[1] for _, ante in groups), default=0)
-        self._cols = np.full((width, len(sorted_pos)), len(self._facts) + 1, dtype=np.intp)
-        while groups:
-            pos, ante = groups.pop()
-            for j, column in enumerate(ante.T):
-                self._cols[j, sorted_pos[pos]] = column
         self._row = {f: i for i, f in enumerate(self._facts)}
         self._label_rows: dict[LabelSet, tuple[np.ndarray, int]] = {}
 
@@ -234,12 +226,6 @@ class Evaluator:
         return EvaluationResult(u[:-1], counts[:-1], rounds, self)
 
 
-def evaluate(rules: CandidateRuleSet | Iterable[Rule], w: np.ndarray | Mapping[str, float],
-             input: Database) -> EvaluationResult:
-    """One-shot weighted evaluation (see Evaluator for the repeated-use path)."""
-    return Evaluator(rules, input).evaluate(w)
-
-
 def gradient(result: EvaluationResult, w: Mapping[str, float], t: Fact) -> dict[str, float]:
     """Partial derivatives of the tuple value with respect to each rule weight."""
     if t.relation not in result.evaluator.output_relations:
@@ -249,11 +235,6 @@ def gradient(result: EvaluationResult, w: Mapping[str, float], t: Fact) -> dict[
     if not prov.defined:
         return {rid: 0.0 for rid in rule_ids}
     v = result.value_of(t)
-    return {rid: prov.count(rid) * v / w[rid] for rid in rule_ids}
+    # a rule outside the tree has derivative 0, also at weight 0
+    return {rid: c * v / w[rid] if (c := prov.count(rid)) else 0.0 for rid in rule_ids}
 
-
-def support(w: Mapping[str, float], threshold: float = 0.0) -> frozenset[str]:
-    """Rules whose weight strictly exceeds the threshold."""
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold must be in [0, 1): {threshold}")
-    return frozenset(r for r, v in w.items() if v > threshold)

@@ -1,7 +1,8 @@
-"""Hypothesis strategies shared by the property suites."""
+"""Hypothesis strategies and array helpers shared by the property suites."""
 
 import random
 
+import numpy as np
 from hypothesis import settings, strategies as st
 
 from difflog.core import Atom, CandidateRuleSet, Const, Problem, Rule
@@ -38,3 +39,10 @@ def instances(draw) -> Problem:
     if draw(st.booleans()):
         problem = with_constants(problem, rng)
     return problem
+
+
+def body_groups(cols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per body length: the clauses, and their antecedents without the -1 pads."""
+    lengths = (cols >= 0).sum(axis=0)
+    return [(pos, cols[:k, pos].T) for k in range(1, len(cols) + 1)
+            if len(pos := np.flatnonzero(lengths == k))]

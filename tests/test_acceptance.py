@@ -21,7 +21,7 @@ from difflog.rulegen import canonicalize
 from difflog.testkit import (EnumerationOverflow, brute_force_value,
                              encode_3cnf, exists_solution, random_instance,
                              random_weights, satisfiable)
-from difflog.viterbi import Evaluator, evaluate, gradient
+from difflog.viterbi import Evaluator, gradient
 from conftest import ACCEPTANCE_LINES, PARENT_PAIRS, make_family_rules
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,7 +53,7 @@ def test_criterion_1_worked_example_fidelity():
     started = time.perf_counter()
     rules, input_db = family_setup()
     w = {"r1": 0.8, "r2": 0.6}
-    result = evaluate(rules, w, input_db)
+    result = Evaluator(rules, input_db).evaluate(w)
     ok = result.value_of(Fact("samegen", ("Will", "Ann"))) == 0.8
     oracle = brute_force_value(rules, w, input_db, Fact("samegen", ("Ann", "Jim")), 5)
     ok = ok and abs(oracle - 0.48) < 1e-12

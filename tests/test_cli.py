@@ -119,6 +119,16 @@ def test_bench_table(family_dir, tmp_path, capsys):
     assert lines[1].startswith("family\t")
 
 
+def test_bench_skips_indented_comments(family_dir, tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"  # indented comment\n\t# tab-indented\n{family_dir}\n")
+    code = main(["bench", str(manifest), "--seeds", "2", "--timeout", "30"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("family\t")
+
+
 def test_bench_missing_manifest(tmp_path, capsys):
     code = main(["bench", str(tmp_path / "nope.txt"), "--seeds", "1"])
     assert code == EXIT_BAD_INPUT

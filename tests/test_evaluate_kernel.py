@@ -1,11 +1,12 @@
 """Differential tests: the conclusion-major evaluate kernel against the group-wise one.
 
-``Evaluator.evaluate`` sorts the clauses by conclusion, pads every body to
-one width with a row of value 1, and takes a segmented max with the first
-attaining position as the winner.  ``reference_evaluate`` is the kernel it
-replaced: clauses grouped by body length, ``np.maximum.at`` for the values
-and ``np.minimum.at`` for the lowest-index winner, over the arrays of
-``core.ground``.  Values must be bitwise equal and counts and rounds equal.
+``Evaluator.evaluate`` runs over ``core.ground``'s conclusion-major clauses,
+points the -1 pads at a row of value 1, and takes a segmented max with the
+first attaining position as the winner.  ``reference_evaluate`` is the
+kernel it replaced: clauses grouped by body length, ``np.maximum.at`` for
+the values and ``np.minimum.at`` for the lowest-index winner, over the
+arrays of ``core.ground``.  Values must be bitwise equal and counts and
+rounds equal.
 """
 
 import random
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from difflog.core import Atom, Database, Fact, Rule, ground
 from difflog.viterbi import Evaluator
-from strategies import SETTINGS, instances
+from strategies import SETTINGS, body_groups, instances
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -23,7 +24,7 @@ GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 def reference_evaluate(grounding, wv: np.ndarray):
     """Values, counts and rounds of the group-wise max-product fixpoint."""
     n_facts, n_clauses = len(grounding.facts), len(grounding)
-    groups, concl, crule = grounding.groups, grounding.concl, grounding.crule
+    groups, concl, clause_rule = body_groups(grounding.cols), grounding.concl, grounding.rule
     # each clause's group and row there locate its antecedents
     cgroup = np.empty(n_clauses, dtype=np.int64)
     crow = np.empty(n_clauses, dtype=np.int64)
@@ -39,7 +40,7 @@ def reference_evaluate(grounding, wv: np.ndarray):
     while True:
         rounds += 1
         for pos, ante in groups:
-            group_vals = wv[crule[pos]]
+            group_vals = wv[clause_rule[pos]]
             for j in range(ante.shape[1]):
                 group_vals = group_vals * u[ante[:, j]]
             vals[pos] = group_vals
@@ -56,7 +57,7 @@ def reference_evaluate(grounding, wv: np.ndarray):
         wins = winner[facts]
         # a winner's row: its rule once, plus its antecedents' rows of the last round
         rows = np.zeros((len(facts), len(grounding.rule_ids)), dtype=np.int64)
-        rows[np.arange(len(facts)), crule[wins]] = 1
+        rows[np.arange(len(facts)), clause_rule[wins]] = 1
         won_groups = cgroup[wins]
         for g, (_, ante) in enumerate(groups):
             mine = np.flatnonzero(won_groups == g)

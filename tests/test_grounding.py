@@ -3,8 +3,8 @@
 The kernel derives the least fixpoint and every ground clause in one
 semi-naive, indexed pass.  ``naive_fixpoint`` / ``naive_ground`` re-ground
 every rule with nested loops each round; both must agree on the fixpoint,
-on the clause set, on ``check_solution``, and (through ``Evaluator``) on the
-clause order, values and provenance.
+on the clause set, on ``check_solution``, and on the clause order, values
+and provenance.
 """
 
 import random
@@ -19,9 +19,10 @@ from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
                           RelationDecl, Rule, boolean_fixpoint,
                           check_solution, ground, parse_problem,
                           validate_rule)
-from difflog.testkit import naive_fixpoint, naive_ground, random_weights
+from difflog.testkit import (ground_clauses, naive_fixpoint, naive_ground,
+                             random_weights)
 from difflog.viterbi import Evaluator
-from strategies import SETTINGS, instances
+from strategies import SETTINGS, body_groups, instances
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -31,11 +32,11 @@ def triples(clauses) -> list[tuple]:
 
 
 def oracle_clauses(rules, input: Database):
-    """Sorted facts and the clauses over them, sorted the way Evaluator numbers them."""
+    """Sorted facts and the clauses over them, sorted the way ``ground`` numbers them."""
     facts = sorted({*input.facts(), *naive_fixpoint(rules, input).facts()})
     universe = Database(facts)
     clauses = sorted((c for rule in rules for c in naive_ground(rule, universe)),
-                     key=lambda c: (c.rule_id, c.conclusion, c.antecedents))
+                     key=lambda c: (c.conclusion, c.rule_id, c.antecedents))
     return facts, clauses
 
 
@@ -43,19 +44,16 @@ def oracle_arrays(rules: CandidateRuleSet, input: Database):
     facts, clauses = oracle_clauses(rules, input)
     fact_pos = {f: i for i, f in enumerate(facts)}
     rule_pos = {rid: i for i, rid in enumerate(rules.ids())}
-    by_len: dict[int, list[int]] = {}
+    cols = np.full((max((len(c.antecedents) for c in clauses), default=0), len(clauses)), -1,
+                   dtype=np.intp)
     for i, c in enumerate(clauses):
-        by_len.setdefault(len(c.antecedents), []).append(i)
-    groups = [(np.array(idxs, dtype=np.int64),
-               np.array([[fact_pos[a] for a in clauses[i].antecedents] for i in idxs],
-                        dtype=np.int64))
-              for _, idxs in sorted(by_len.items())]
+        cols[:len(c.antecedents), i] = [fact_pos[a] for a in c.antecedents]
     return {
         "facts": facts,
         "input_idx": np.array(sorted(fact_pos[f] for f in input.facts()), dtype=np.int64),
         "concl": np.array([fact_pos[c.conclusion] for c in clauses], dtype=np.int64),
-        "crule": np.array([rule_pos[c.rule_id] for c in clauses], dtype=np.int64),
-        "groups": groups,
+        "rule": np.array([rule_pos[c.rule_id] for c in clauses], dtype=np.int64),
+        "cols": cols,
         "clauses": clauses,
     }
 
@@ -76,8 +74,8 @@ def reference_evaluate(oracle, rule_ids, w):
     rounds = 0
     while True:
         rounds += 1
-        for pos, ante in oracle["groups"]:
-            group_vals = wv[oracle["crule"][pos]]
+        for pos, ante in body_groups(oracle["cols"]):
+            group_vals = wv[oracle["rule"][pos]]
             for j in range(ante.shape[1]):
                 group_vals = group_vals * u[ante[:, j]]
             vals[pos] = group_vals
@@ -110,10 +108,9 @@ def assert_matches_oracle(rules: CandidateRuleSet, input: Database, oracle, weig
     assert grounding.facts == oracle["facts"]
     assert same_array(grounding.input_idx, oracle["input_idx"])
     assert same_array(grounding.concl, oracle["concl"])
-    assert same_array(grounding.crule, oracle["crule"])
-    assert len(grounding.groups) == len(oracle["groups"])
-    for (pos, ante), (opos, oante) in zip(grounding.groups, oracle["groups"]):
-        assert same_array(pos, opos) and same_array(ante, oante)
+    assert same_array(grounding.rule, oracle["rule"])
+    assert same_array(grounding.cols, oracle["cols"])
+    assert grounding.cols.flags.c_contiguous
     ev = Evaluator(rules, input)
     for w in weights:
         result = ev.evaluate(w)
@@ -127,7 +124,7 @@ def assert_matches_oracle(rules: CandidateRuleSet, input: Database, oracle, weig
 @given(instances())
 def test_kernel_clause_set_matches_naive_ground(problem):
     grounding = ground(problem.rules, problem.input)
-    got = triples(grounding)
+    got = triples(ground_clauses(grounding))
     assert len(got) == len(grounding) == len(set(got))
     _, expected = oracle_clauses(problem.rules, problem.input)
     assert set(got) == set(triples(expected))
@@ -179,7 +176,7 @@ def test_head_constant_absent_from_input():
     assert Fact("q", ("a", "new")) in fixpoint and Fact("q", ("new", "b")) in fixpoint
     assert Fact("q", ("new", "new")) not in fixpoint
     oracle = oracle_arrays(rules, input_db)
-    assert triples(ground(rules, input_db)) == triples(oracle["clauses"])
+    assert triples(ground_clauses(ground(rules, input_db))) == triples(oracle["clauses"])
     assert_matches_oracle(rules, input_db, oracle, [{"h1": 0.9, "h2": 0.5, "h3": 0.7},
                                                     {"h1": 1.0, "h2": 1.0, "h3": 1.0}])
 
@@ -188,7 +185,8 @@ def test_head_constant_absent_from_input():
 def test_golden_problem_matches_naive(name):
     problem = parse_problem(PROBLEMS / name)
     oracle = oracle_arrays(problem.rules, problem.input)
-    assert triples(ground(problem.rules, problem.input)) == triples(oracle["clauses"])
+    assert triples(ground_clauses(ground(problem.rules, problem.input))) == \
+        triples(oracle["clauses"])
     rng = random.Random(name)
     assert_matches_oracle(problem.rules, problem.input, oracle,
                           [random_weights(rng, problem.rules, 0.25, 0.75)])

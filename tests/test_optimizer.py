@@ -12,7 +12,7 @@ from difflog.optimizer import (SearchConfig, SearchRunner, ZeroGradientError,
                                clamp, loss, loss_gradient, mcmc_accept,
                                mcmc_propose, newton_step, search,
                                separation_check, temperature)
-from difflog.viterbi import evaluate
+from difflog.viterbi import Evaluator
 
 
 class StubRng:
@@ -34,15 +34,14 @@ def make_single_rule_problem():
 
 
 def test_loss_on_family(family_problem):
-    result = evaluate(family_problem.rules, {"r1": 0.8, "r2": 0.6},
-                      family_problem.input)
+    result = Evaluator(family_problem.rules, family_problem.input).evaluate({"r1": 0.8, "r2": 0.6})
     # positive samegen(Ann,Jim) at 0.48; both negatives are underivable
     assert abs(loss(result, family_problem.labels) - (1.0 - 0.48) ** 2) < 1e-12
 
 
 def test_loss_gradient_matches_manual(family_problem):
     w = np.array([0.8, 0.6])
-    result = evaluate(family_problem.rules, w, family_problem.input)
+    result = Evaluator(family_problem.rules, family_problem.input).evaluate(w)
     grad = loss_gradient(result, w, family_problem.labels)
     v = 0.48
     assert abs(grad[0] - (-2.0 * (1.0 - v) * v / 0.8)) < 1e-12
@@ -60,7 +59,7 @@ def test_newton_step_single_rule():
     # loss (1-w)^2 at w=0.5: L=0.25, dL/dw=-1, step w - L*g/|g|^2 = 0.75
     problem = make_single_rule_problem()
     w = np.array([0.5])
-    result = evaluate(problem.rules, w, problem.input)
+    result = Evaluator(problem.rules, problem.input).evaluate(w)
     L = loss(result, problem.labels)
     grad = loss_gradient(result, w, problem.labels)
     stepped = newton_step(w, L, grad)
@@ -123,16 +122,14 @@ def test_temperature_schedule():
 
 
 def test_separation_check_family(family_problem):
-    result = evaluate(family_problem.rules, {"r1": 0.8, "r2": 0.6},
-                      family_problem.input)
+    result = Evaluator(family_problem.rules, family_problem.input).evaluate({"r1": 0.8, "r2": 0.6})
     sep = separation_check(result, family_problem.labels)
     assert sep.separated
     assert sep.positive_rules == frozenset({"r1", "r2"})
 
 
 def test_separation_fails_without_positive_derivation(family_problem):
-    result = evaluate(family_problem.rules, {"r1": 0.8, "r2": 0.0},
-                      family_problem.input)
+    result = Evaluator(family_problem.rules, family_problem.input).evaluate({"r1": 0.8, "r2": 0.0})
     sep = separation_check(result, family_problem.labels)
     assert not sep.separated
     assert sep.positive_rules is None
@@ -141,8 +138,7 @@ def test_separation_fails_without_positive_derivation(family_problem):
 def test_separation_fails_on_overlap(family_problem):
     bad = Rule("r3", Atom("samegen", ("x", "y")), (Atom("parent", ("x", "y")),))
     rules = CandidateRuleSet([*family_problem.rules, bad])
-    result = evaluate(rules, {"r1": 0.0, "r2": 0.0, "r3": 0.9},
-                      family_problem.input)
+    result = Evaluator(rules, family_problem.input).evaluate({"r1": 0.0, "r2": 0.0, "r3": 0.9})
     labels = LabelSet(frozenset({Fact("samegen", ("Jim", "Emma"))}),
                       frozenset({Fact("samegen", ("Ava", "Emma"))}))
     sep = separation_check(result, labels)

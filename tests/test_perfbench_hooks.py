@@ -1,0 +1,35 @@
+"""The benchmark's tracer still finds every hook it rebinds in ``difflog``.
+
+``perfbench/tracer.py`` times each layer by rebinding module and class
+attributes (``viterbi.ground``, ``Evaluator.evaluate``,
+``optimizer.check_solution`` ...).  Renaming or deleting one of them breaks
+the traced benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+from difflog.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_tracer_hooks_resolve_and_record_a_traced_synth(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    import tracer
+
+    first = tracer.Tracer()
+    tracer.install_full(first)
+    first.uninstall()
+    spans = tracer.Tracer()
+    tracer.install_full(spans)
+    try:
+        code = main(["synth", str(ROOT / "problems" / "samegen"), "--seeds", "1",
+                     "--base-seed", "0", "--max-iters", "2", "--out", str(tmp_path)])
+    finally:
+        spans.uninstall()
+    assert code in (0, 2)
+    names = {span[0] for span in spans.spans}
+    assert {"core.ground", "viterbi.build", "viterbi.evaluate"} <= names
+    assert spans.total("core.ground.clauses", lambda tag: True) > 0

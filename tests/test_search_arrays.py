@@ -24,7 +24,7 @@ from difflog.optimizer import (ZeroGradientError, clamp, loss, loss_gradient,
                                mcmc_propose, newton_step, separation_check)
 from difflog.testkit import encode_3cnf, parse_dimacs, random_weights
 from difflog.viterbi import Evaluator
-from strategies import SETTINGS, instances
+from strategies import SETTINGS, body_groups, instances
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data" / "synth"
@@ -34,10 +34,11 @@ def reference_evaluate(grounding: Grounding, w: dict[str, float]):
     """Max-product fixpoint over ``core.ground``'s clause arrays, merging Counters per fact."""
     wv = np.array([w[rid] for rid in grounding.rule_ids], dtype=np.float64)
     n_facts, n_clauses = len(grounding.facts), len(grounding)
+    groups = body_groups(grounding.cols)
     # each clause's group and row there locate its antecedents
     cgroup = np.empty(n_clauses, dtype=np.int64)
     crow = np.empty(n_clauses, dtype=np.int64)
-    for g, (pos, _) in enumerate(grounding.groups):
+    for g, (pos, _) in enumerate(groups):
         cgroup[pos] = g
         crow[pos] = np.arange(len(pos))
     u = np.zeros(n_facts)
@@ -47,8 +48,8 @@ def reference_evaluate(grounding: Grounding, w: dict[str, float]):
     rounds = 0
     while True:
         rounds += 1
-        for pos, ante in grounding.groups:
-            group_vals = wv[grounding.crule[pos]]
+        for pos, ante in groups:
+            group_vals = wv[grounding.rule[pos]]
             for j in range(ante.shape[1]):
                 group_vals = group_vals * u[ante[:, j]]
             vals[pos] = group_vals
@@ -63,11 +64,11 @@ def reference_evaluate(grounding: Grounding, w: dict[str, float]):
         new_prov: dict[int, Counter] = {}
         facts = np.nonzero(changed)[0]
         wins = winner[facts]
-        groups = cgroup[wins]
-        for g, (_, ante) in enumerate(grounding.groups):
-            mine = groups == g
+        won_groups = cgroup[wins]
+        for g, (_, ante) in enumerate(groups):
+            mine = won_groups == g
             won = wins[mine]
-            for fi, r, ants in zip(facts[mine].tolist(), grounding.crule[won].tolist(),
+            for fi, r, ants in zip(facts[mine].tolist(), grounding.rule[won].tolist(),
                                    ante[crow[won]].tolist()):
                 counts = Counter({grounding.rule_ids[r]: 1})
                 for a in ants:

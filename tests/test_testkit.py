@@ -8,7 +8,7 @@ from difflog.core import Fact, ProblemError, boolean_fixpoint, check_solution
 from difflog.testkit import (EnumerationOverflow, brute_force_value,
                              encode_3cnf, exists_solution, parse_dimacs,
                              random_instance, random_weights, satisfiable)
-from difflog.viterbi import evaluate
+from difflog.viterbi import Evaluator
 
 
 def test_brute_force_family_values(family_rules, family_input):
@@ -33,7 +33,7 @@ def test_brute_force_matches_evaluate(family_rules, family_input):
     rng = random.Random(21)
     for _ in range(10):
         w = random_weights(rng, family_rules)
-        result = evaluate(family_rules, w, family_input)
+        result = Evaluator(family_rules, family_input).evaluate(w)
         depth = len(boolean_fixpoint(family_rules, family_input))
         for t in result.derived.facts():
             oracle = brute_force_value(family_rules, w, family_input, t, depth)

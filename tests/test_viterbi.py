@@ -1,4 +1,4 @@
-"""Weighted evaluation: values, provenance, gradients, support."""
+"""Weighted evaluation: values, provenance, gradients."""
 
 import math
 import random
@@ -8,7 +8,7 @@ import pytest
 
 from difflog.core import Database, Fact, SemanticError, boolean_fixpoint
 from difflog.testkit import random_instance, random_weights
-from difflog.viterbi import Evaluator, Provenance, evaluate, gradient, support
+from difflog.viterbi import Evaluator, Provenance, gradient
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf])
@@ -45,7 +45,7 @@ def test_provenance_undefined_is_explicit():
 
 
 def test_family_values_and_provenance(family_rules, family_input):
-    result = evaluate(family_rules, {"r1": 0.8, "r2": 0.6}, family_input)
+    result = Evaluator(family_rules, family_input).evaluate({"r1": 0.8, "r2": 0.6})
     will_ann = Fact("samegen", ("Will", "Ann"))
     ann_jim = Fact("samegen", ("Ann", "Jim"))
     assert result.value_of(will_ann) == 0.8
@@ -55,21 +55,21 @@ def test_family_values_and_provenance(family_rules, family_input):
 
 
 def test_input_tuples_have_value_one(family_rules, family_input):
-    result = evaluate(family_rules, {"r1": 0.5, "r2": 0.5}, family_input)
+    result = Evaluator(family_rules, family_input).evaluate({"r1": 0.5, "r2": 0.5})
     t = Fact("parent", ("Will", "Noah"))
     assert result.value_of(t) == 1.0
     assert result.provenance_of(t).counts == {}
 
 
 def test_underivable_tuple_has_zero_value(family_rules, family_input):
-    result = evaluate(family_rules, {"r1": 0.8, "r2": 0.6}, family_input)
+    result = Evaluator(family_rules, family_input).evaluate({"r1": 0.8, "r2": 0.6})
     t = Fact("samegen", ("Ava", "Liam"))
     assert result.value_of(t) == 0.0
     assert not result.provenance_of(t).defined
 
 
 def test_derived_set_equals_support_fixpoint(family_rules, family_input):
-    result = evaluate(family_rules, {"r1": 0.8, "r2": 0.0}, family_input)
+    result = Evaluator(family_rules, family_input).evaluate({"r1": 0.8, "r2": 0.0})
     expected = boolean_fixpoint([family_rules["r1"]], family_input)
     assert result.derived == expected
 
@@ -82,7 +82,7 @@ def test_rounds_bounded_by_derivable_plus_one(family_rules, family_input):
 
 def test_missing_weight_rejected(family_rules, family_input):
     with pytest.raises(SemanticError, match="missing"):
-        evaluate(family_rules, {"r1": 0.8}, family_input)
+        Evaluator(family_rules, family_input).evaluate({"r1": 0.8})
 
 
 def test_evaluator_reusable_across_weights(family_rules, family_input):
@@ -94,7 +94,7 @@ def test_evaluator_reusable_across_weights(family_rules, family_input):
 
 def test_gradient_closed_form(family_rules, family_input):
     w = {"r1": 0.8, "r2": 0.6}
-    result = evaluate(family_rules, w, family_input)
+    result = Evaluator(family_rules, family_input).evaluate(w)
     ann_jim = Fact("samegen", ("Ann", "Jim"))
     grad = gradient(result, w, ann_jim)
     # v = w1 * w2 here, so dv/dw1 = w2 and dv/dw2 = w1
@@ -104,23 +104,23 @@ def test_gradient_closed_form(family_rules, family_input):
 
 def test_gradient_zero_for_underivable(family_rules, family_input):
     w = {"r1": 0.8, "r2": 0.6}
-    result = evaluate(family_rules, w, family_input)
+    result = Evaluator(family_rules, family_input).evaluate(w)
     grad = gradient(result, w, Fact("samegen", ("Ava", "Liam")))
     assert grad == {"r1": 0.0, "r2": 0.0}
 
 
+def test_gradient_at_zero_weight_of_a_rule_outside_the_tree(family_rules, family_input):
+    w = {"r1": 0.5, "r2": 0.0}
+    result = Evaluator(family_rules, family_input).evaluate(w)
+    ann_ann = Fact("samegen", ("Ann", "Ann"))
+    assert result.provenance_of(ann_ann).counts == {"r1": 1}
+    assert gradient(result, w, ann_ann) == {"r1": 1.0, "r2": 0.0}
+
+
 def test_gradient_rejects_non_output_tuple(family_rules, family_input):
-    result = evaluate(family_rules, {"r1": 0.8, "r2": 0.6}, family_input)
+    result = Evaluator(family_rules, family_input).evaluate({"r1": 0.8, "r2": 0.6})
     with pytest.raises(SemanticError):
         gradient(result, {"r1": 0.8, "r2": 0.6}, Fact("parent", ("Will", "Noah")))
-
-
-def test_support_thresholding():
-    w = {"r1": 0.0, "r2": 0.4, "r3": 0.9}
-    assert support(w) == frozenset({"r2", "r3"})
-    assert support(w, 0.5) == frozenset({"r3"})
-    with pytest.raises(ValueError):
-        support(w, 1.0)
 
 
 def test_value_weakly_increases_in_weights_random():
@@ -151,5 +151,5 @@ def test_provenance_counts_consistent_with_value():
 
 
 def test_empty_input_database(family_rules):
-    result = evaluate(family_rules, {"r1": 0.8, "r2": 0.6}, Database())
+    result = Evaluator(family_rules, Database()).evaluate({"r1": 0.8, "r2": 0.6})
     assert len(result.derived) == 0
