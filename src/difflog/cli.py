@@ -86,10 +86,18 @@ def write_report(path: Path, base_seed: int, outcomes: list[SearchOutcome]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
+def _read(path: str) -> str:
+    """The text of a file named on the command line; ProblemError if it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ProblemError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _load_problem(directory: str, rules_override: str | None):
     problem = parse_problem(directory)
     if rules_override:
-        rules_text = Path(rules_override).read_text()
+        rules_text = _read(rules_override)
         rules = parse_rules(rules_text, rules_override)
         for rule in rules:
             validate_rule(rule, problem.relations)
@@ -149,7 +157,7 @@ def cmd_eval(args) -> int:
         problem = _load_problem(args.problem, args.rules)
         weights = {rid: 1.0 for rid in problem.rules.ids()}
         if args.weights:
-            for lineno, raw in enumerate(Path(args.weights).read_text().splitlines(), 1):
+            for lineno, raw in enumerate(_read(args.weights).splitlines(), 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue

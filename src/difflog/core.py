@@ -3,12 +3,13 @@
 Constants are opaque strings.  Rules are pure positive Datalog: no
 negation, no arithmetic, and every head variable must occur in the body
 (range restriction).  One semi-naive, indexed kernel grounds a rule set: it
-derives the least fixpoint and emits every ground clause over it in one
-pass, as the arrays that weighted evaluation runs on.  This module alone
-fixes the clause order, (conclusion, rule id, antecedents), which decides
-the winning derivation among equal values; bodies shorter than the longest
-are padded with -1.  All structures are immutable after construction and
-safe to share across threads.
+derives the least fixpoint and emits, in one pass, every ground clause over
+it except self-loops, which never raise their conclusion, as the arrays
+that weighted evaluation runs on.  This module alone fixes the clause
+order, (conclusion, rule id, antecedents), which decides the winning
+derivation among equal values; bodies shorter than the longest are padded
+with -1.  All structures are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -261,7 +262,9 @@ class Problem(NamedTuple):
 # delta): literals left of it read only older facts, literals right of it read
 # all facts.  A clause is thus fired exactly once, in the round after its
 # newest antecedent arrived, and the rounds yield the least fixpoint together
-# with every ground clause over it.
+# with every ground clause over it.  A self-loop, a clause whose conclusion is
+# also an antecedent, is dropped as it fires: its value is a product of
+# factors <= 1 times its conclusion's, so it can never raise that value.
 
 _OLD, _DELTA, _ALL = range(3)
 
@@ -467,7 +470,9 @@ class _Kernel:
         relation = self.rules[plan.rule].head.relation
         head, emit, buf = plan.head, plan.emit, self.clauses[plan.rule]
         for b, ants in rows:
-            buf.extend(emit((*ants, self._fact(relation, head(b)))))
+            conclusion = self._fact(relation, head(b))
+            if conclusion not in ants:
+                buf.extend(emit((*ants, conclusion)))
 
     def _to_fact(self, fid: int) -> Fact:
         return Fact(self.names[self.rank[fid]], tuple(self.constants[c] for c in self.args[fid]))
@@ -514,7 +519,8 @@ class _Kernel:
 
 @dataclass(frozen=True, eq=False)
 class Grounding:
-    """The least fixpoint of a rule set and every ground clause over it, as arrays.
+    """The least fixpoint of a rule set and every ground clause over it except
+    self-loops, which never raise their conclusion, as arrays.
 
     Facts are referred to by their position in the sorted ``facts`` list.
     Clauses are numbered in (conclusion, rule id, antecedents) order, so each
@@ -535,7 +541,7 @@ class Grounding:
 
 
 def ground(rules: Iterable[Rule], input: Database) -> Grounding:
-    """The least fixpoint of ``rules`` over ``input`` and all ground clauses over it."""
+    """The least fixpoint of ``rules`` over ``input`` and its non-self-loop ground clauses."""
     return _Kernel(rules, input).grounding()
 
 
@@ -569,12 +575,15 @@ _TOKEN_RE = re.compile(r"""[ \t]*(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)
 
 
 def _tokenize_rule_line(text: str, path, lineno: int) -> list[tuple[str, str, int]]:
+    """The tokens of one line; a ``#`` outside a quoted constant starts a comment."""
     tokens = []
     pos = 0
     while pos < len(text):
         if text[pos] in " \t":
             pos += 1
             continue
+        if text[pos] == "#":
+            break
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.start(m.lastgroup) != pos:
             raise ParseError(f"unexpected character {text[pos]!r}", path, lineno, pos + 1)
@@ -648,12 +657,12 @@ def parse_rule_line(text: str, default_id: str, path=None, lineno: int = 0) -> R
 
 
 def parse_rules(text: str, path=None) -> list[Rule]:
+    """One rule per line; blank and comment-only lines are skipped."""
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rules.append(parse_rule_line(line, f"r{lineno}", path, lineno))
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = _tokenize_rule_line(line, path, lineno)
+        if tokens:
+            rules.append(_RuleParser(tokens, path, lineno).rule(f"r{lineno}"))
     return rules
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -117,12 +117,31 @@ class EvaluationResult:
         return self._provenance_at(self.evaluator.row_of(t))
 
 
+class _Clauses(NamedTuple):
+    """Clauses in ``core.ground``'s order, with each head's segment of them."""
+
+    rule: np.ndarray     # clause -> rule position
+    cols: np.ndarray     # (max body length x clauses) antecedent rows
+    heads: np.ndarray    # the conclusions, ascending
+    lengths: np.ndarray  # clauses per head
+    starts: np.ndarray   # each head's first clause
+
+    @classmethod
+    def of(cls, concl: np.ndarray, rule: np.ndarray, cols: np.ndarray,
+           n_facts: int) -> "_Clauses":
+        sizes = np.bincount(concl, minlength=n_facts)
+        heads = np.flatnonzero(sizes)
+        lengths = sizes[heads]
+        return cls(rule, cols, heads, lengths, np.cumsum(lengths) - lengths)
+
+
 class Evaluator:
     """Reusable weighted evaluator for a fixed rule set and input database.
 
     Grounding runs once, in the constructor: the kernel derives the Boolean
-    fixpoint of all candidate rules and every ground clause over it.  Each
-    evaluation then runs a vectorized max-product fixpoint over those clauses.
+    fixpoint of all candidate rules and every ground clause over it, less
+    the self-loops.  Each evaluation then runs a vectorized max-product
+    fixpoint over those clauses.
 
     Clauses are taken in the order ``core.ground`` numbers them, which is
     conclusion-major: each head's clauses form one segment, and its first
@@ -131,6 +150,11 @@ class Evaluator:
     the facts: the zero row of facts outside the grounding, and the pad row,
     of value 1 and zero counts, that shorter bodies point at.  Multiplying by
     1.0 is exact, so every product stays ((w * u0) * u1) * u2.
+
+    The first round runs over the input-only clauses alone, those whose
+    antecedents are all input or pad rows, kept in the same order.  This is
+    exact: in round 1 only those rows are nonzero, so every other clause is
+    0 and can neither raise a head nor attain a raised head's maximum.
     """
 
     def __init__(self, rules: CandidateRuleSet | Iterable[Rule], input: Database,
@@ -148,14 +172,16 @@ class Evaluator:
         self._facts = grounding.facts
         self._input_idx = grounding.input_idx
         self.derivable_count = len(grounding.facts) - len(grounding.input_idx)
-        self._rule = grounding.rule
-        # the grounding is this evaluator's own, so its pads take the pad row in place
-        self._cols = grounding.cols
-        self._cols[self._cols < 0] = len(self._facts) + 1
-        sizes = np.bincount(grounding.concl, minlength=len(self._facts))
-        self._heads = np.flatnonzero(sizes)
-        self._lengths = sizes[self._heads]
-        self._starts = np.cumsum(self._lengths) - self._lengths
+        n_facts, concl, rule = len(self._facts), grounding.concl, grounding.rule
+        # the grounding is this evaluator's own, so its pads take the pad row in
+        # place; a pool without clauses gets one empty antecedent column
+        cols = grounding.cols if len(grounding.cols) else np.empty((1, 0), dtype=np.intp)
+        cols[cols < 0] = n_facts + 1
+        self._clauses = _Clauses.of(concl, rule, cols, n_facts)
+        known = np.zeros(n_facts + 2, dtype=bool)
+        known[self._input_idx] = known[-1] = True
+        first = known[cols].all(axis=0)
+        self._first_round = _Clauses.of(concl[first], rule[first], cols[:, first], n_facts)
         self._row = {f: i for i, f in enumerate(self._facts)}
         self._label_rows: dict[LabelSet, tuple[np.ndarray, int]] = {}
 
@@ -201,25 +227,27 @@ class Evaluator:
         u = np.zeros(len(self._facts) + 2)
         u[self._input_idx] = u[-1] = 1.0
         counts = np.zeros((len(u), len(self.rule_ids)), dtype=np.int64)
-        weights = wv[self._rule]
-        vals, antecedent = np.empty_like(weights), np.empty_like(weights)
+        # round 1 reads only the input and pad rows, so it runs over the input-only clauses
+        first, every = ((c, wv[c.rule], np.empty(len(c.rule)), np.empty(len(c.rule)))
+                        for c in (self._first_round, self._clauses))
         for rounds in itertools.count(1):
+            c, weights, vals, antecedent = first if rounds == 1 else every
             # ((w * u0) * u1) * u2: weight first, antecedents left to right, pads last
-            vals[:] = weights
-            for col in self._cols:
-                np.multiply(vals, np.take(u, col, out=antecedent, mode="clip"), out=vals)
-            best = np.maximum.reduceat(vals, self._starts)
-            changed = best > u[self._heads]
+            np.multiply(weights, np.take(u, c.cols[0], out=antecedent, mode="wrap"), out=vals)
+            for col in c.cols[1:]:
+                np.multiply(vals, np.take(u, col, out=antecedent, mode="wrap"), out=vals)
+            best = np.maximum.reduceat(vals, c.starts)
+            changed = best > u[c.heads]
             if not changed.any():
                 break
             # a changed head's winner: the first position in its segment attaining the max
-            attain = np.flatnonzero(vals == np.repeat(best, self._lengths))
-            wins = attain[np.searchsorted(attain, self._starts[changed])]
-            facts = self._heads[changed]
+            attain = np.flatnonzero(vals == np.repeat(best, c.lengths))
+            wins = attain[np.searchsorted(attain, c.starts[changed])]
+            facts = c.heads[changed]
             # a winner's row: its rule once, plus its antecedents' rows of the last round
             rows = np.zeros((len(facts), len(self.rule_ids)), dtype=np.int64)
-            rows[np.arange(len(facts)), self._rule[wins]] = 1
-            for col in self._cols:
+            rows[np.arange(len(facts)), c.rule[wins]] = 1
+            for col in c.cols:
                 rows += counts[col[wins]]
             counts[facts] = rows
             u[facts] = best[changed]

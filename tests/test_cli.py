@@ -57,6 +57,22 @@ def test_synth_bad_directory(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_synth_missing_rules_file(family_dir, tmp_path, capsys):
+    missing = tmp_path / "nope.dl"
+    code = main(["synth", str(family_dir), "--seeds", "1", "--rules", str(missing)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+def test_eval_missing_weights_file(family_dir, tmp_path, capsys):
+    missing = tmp_path / "nope.tsv"
+    code = main(["eval", str(family_dir), "--weights", str(missing)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_eval_boolean_dump(family_dir, capsys):
     code = main(["eval", str(family_dir)])
     assert code == EXIT_OK

@@ -231,6 +231,22 @@ def test_problem_round_trip_random(problem):
     assert loaded.rules.rules == problem.rules.rules
 
 
+def test_rules_with_hash_in_constants_round_trip(tmp_path, family_problem):
+    rules = [Rule("c1", Atom("samegen", ("x", Const("a#b"))),
+                  (Atom("parent", ("x", Const("#"))),)),
+             Rule("c2", Atom("samegen", ("x", "y")),
+                  (Atom("parent", ("x", Const("# not a comment"))), Atom("parent", ("y", "x"))))]
+    write_problem(tmp_path, family_problem.relations, family_problem.input,
+                  family_problem.labels, rules)
+    assert parse_problem(tmp_path).rules.rules == tuple(rules)
+    # a # after the rule still starts a comment, also when it holds a quote
+    (tmp_path / "rules.dl").write_text(
+        '# candidate rules\nc3: samegen(x,y) :- parent(x,"#z"), parent(y,"#z").  # "#z" holds\n')
+    assert parse_problem(tmp_path).rules.rules == (
+        Rule("c3", Atom("samegen", ("x", "y")),
+             (Atom("parent", ("x", Const("#z"))), Atom("parent", ("y", Const("#z"))))),)
+
+
 def test_parse_problem_rejects_stray_facts(tmp_path, family_problem):
     write_problem(tmp_path, family_problem.relations, family_problem.input,
                   family_problem.labels, family_problem.rules)

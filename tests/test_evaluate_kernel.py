@@ -1,12 +1,13 @@
 """Differential tests: the conclusion-major evaluate kernel against the group-wise one.
 
 ``Evaluator.evaluate`` runs over ``core.ground``'s conclusion-major clauses,
-points the -1 pads at a row of value 1, and takes a segmented max with the
-first attaining position as the winner.  ``reference_evaluate`` is the
+the input-only ones alone in its first round, points the -1 pads at a row
+of value 1, and takes a segmented max with the first attaining position as
+the winner.  ``reference_evaluate`` is the
 kernel it replaced: clauses grouped by body length, ``np.maximum.at`` for
 the values and ``np.minimum.at`` for the lowest-index winner, over the
-arrays of ``core.ground``.  Values must be bitwise equal and counts and
-rounds equal.
+arrays of ``core.ground``, all in every round.  Values must be bitwise
+equal and counts and rounds equal.
 """
 
 import random
@@ -15,6 +16,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from difflog.core import Atom, Database, Fact, Rule, ground
+from difflog.testkit import ground_clauses
 from difflog.viterbi import Evaluator
 from strategies import SETTINGS, body_groups, instances
 
@@ -99,7 +101,8 @@ def rule(rid: str, head: Atom, *body: Atom) -> Rule:
     return Rule(rid, head, tuple(body))
 
 
-P, Q, E = (lambda *a: Atom("p", a)), (lambda *a: Atom("q", a)), (lambda *a: Atom("e", a))
+P, Q, E, S = ((lambda *a: Atom("p", a)), (lambda *a: Atom("q", a)),
+              (lambda *a: Atom("e", a)), (lambda *a: Atom("s", a)))
 
 
 def test_no_clauses_is_one_round_of_inputs():
@@ -157,3 +160,44 @@ def test_fact_outside_the_grounding_has_the_zero_row():
     assert result.value_of(absent) == 0.0
     assert not result.counts[ev.row_of(absent)].any()
     assert not result.provenance_of(absent).defined
+
+
+def test_head_whose_only_kept_clause_is_input_only():
+    # q(a) :- q(a), p(a) is a self-loop; q(a) :- p(a) fires in the first round
+    input = Database([Fact("p", ("a",))])
+    rules = [rule("r1", Q("x"), P("x")), rule("r2", Q("x"), Q("x"), P("x")),
+             rule("r3", S("x"), Q("x"))]
+    ev = assert_matches_reference(rules, input, [np.array([0.5, 1.0, 0.5]), np.ones(3)])
+    assert [(c.rule_id, c.conclusion) for c in ground_clauses(ground(rules, input))] == \
+        [("r1", Fact("q", ("a",))), ("r3", Fact("s", ("a",)))]
+    result = ev.evaluate(np.array([0.5, 1.0, 0.5]))
+    assert result.value_of(Fact("q", ("a",))) == 0.5
+    assert result.provenance_of(Fact("q", ("a",))).counts == {"r1": 1}
+    assert result.value_of(Fact("s", ("a",))) == 0.25
+    assert result.provenance_of(Fact("s", ("a",))).counts == {"r1": 1, "r3": 1}
+    assert result.rounds == 3
+
+
+def test_input_fact_heading_a_self_loop():
+    # p(a) :- p(a), e(a, a) is a self-loop, so the input fact p(a) heads no clause
+    input = Database([Fact("p", ("a",)), Fact("e", ("a", "a"))])
+    rules = [rule("r1", P("y"), P("x"), E("x", "y")), rule("r2", Q("x"), P("x"))]
+    ev = assert_matches_reference(rules, input, [np.array([0.5, 0.5]), np.ones(2)])
+    assert [c.conclusion for c in ground_clauses(ground(rules, input))] == [Fact("q", ("a",))]
+    result = ev.evaluate(np.array([0.5, 0.5]))
+    row = ev.row_of(Fact("p", ("a",)))
+    assert result.values[row] == 1.0 and not result.counts[row].any()
+    assert result.value_of(Fact("q", ("a",))) == 0.5
+    assert result.rounds == 2
+
+
+def test_all_zero_weights_stop_after_one_round_of_inputs():
+    input = Database([Fact("p", ("a",)), Fact("e", ("a", "b"))])
+    rules = [rule("r1", Q("x"), P("x")), rule("r2", Q("y"), Q("x"), E("x", "y")),
+             rule("r3", Q("x"), Q("x"), P("x")), rule("r4", S("x"), Q("x"))]
+    ev = assert_matches_reference(rules, input, [np.zeros(4)])
+    result = ev.evaluate(np.zeros(4))
+    assert result.rounds == 1
+    assert result.derived == Database()
+    assert sorted(result.value) == sorted(input.facts())
+    assert not result.counts.any()
