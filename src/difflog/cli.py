@@ -86,12 +86,20 @@ def write_report(path: Path, base_seed: int, outcomes: list[SearchOutcome]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read(path: str) -> str:
+def _read(path: str | Path) -> str:
     """The text of a file named on the command line; ProblemError if it cannot be read."""
     try:
         return Path(path).read_text()
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _make_dir(path: Path) -> None:
+    """Create an output directory; ProblemError if it cannot be made."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ProblemError(f"cannot create directory {path}: {exc.strerror}") from None
 
 
 def _load_problem(directory: str, rules_override: str | None):
@@ -108,14 +116,14 @@ def _load_problem(directory: str, rules_override: str | None):
 
 
 def cmd_synth(args) -> int:
+    out_dir = Path(args.out) if args.out else Path(args.problem)
     try:
         problem = _load_problem(args.problem, args.rules)
+        _make_dir(out_dir)
     except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    out_dir = Path(args.out) if args.out else Path(args.problem)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = SearchConfig(max_iters=args.max_iters, mcmc_period=args.mcmc_period,
                           timeout=args.timeout)
 
@@ -134,6 +142,9 @@ def cmd_synth(args) -> int:
     started = time.perf_counter()
     try:
         report = run_portfolio(problem, args.seeds, args.base_seed, config, trace)
+    except ProblemError as exc:  # a grounding over its budget
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     finally:
         if handle is not None:
             handle.close()
@@ -195,12 +206,11 @@ def cmd_eval(args) -> int:
 def cmd_gen_rules(args) -> int:
     try:
         directory = Path(args.problem)
-        decls = parse_relations((directory / "relations.txt").read_text(),
-                                directory / "relations.txt")
+        decls = parse_relations(_read(directory / "relations.txt"), directory / "relations.txt")
         config = GenConfig(max_body_len=args.max_body_len, k=args.k, cap=args.cap,
                            allow_recursion=not args.no_recursion)
         rules = generate(decls, config)
-    except (ProblemError, GenerationOverflow, FileNotFoundError, ValueError) as exc:
+    except (ProblemError, GenerationOverflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     out_path = directory / "rules.dl"
@@ -211,9 +221,9 @@ def cmd_gen_rules(args) -> int:
 
 def cmd_encode_3cnf(args) -> int:
     try:
-        formula = parse_dimacs(Path(args.cnf).read_text())
-        problem = encode_3cnf(formula)
-    except (ProblemError, FileNotFoundError) as exc:
+        problem = encode_3cnf(parse_dimacs(_read(args.cnf)))
+        _make_dir(Path(args.out))
+    except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     write_problem(args.out, problem.relations, problem.input, problem.labels,
@@ -225,11 +235,11 @@ def cmd_encode_3cnf(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        lines = [line.strip() for line in Path(args.manifest).read_text().splitlines()]
-        entries = [line for line in lines if line and not line.startswith("#")]
-    except FileNotFoundError as exc:
+        lines = [line.strip() for line in _read(args.manifest).splitlines()]
+    except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    entries = [line for line in lines if line and not line.startswith("#")]
 
     print("Benchmark\tRel\tExp\tCnd\tIn\tOut\tIter\tSmpl\tTime")
     config = SearchConfig(max_iters=args.max_iters, mcmc_period=args.mcmc_period,

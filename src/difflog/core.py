@@ -2,11 +2,14 @@
 
 Constants are opaque strings.  Rules are pure positive Datalog: no
 negation, no arithmetic, and every head variable must occur in the body
-(range restriction).  One semi-naive, indexed kernel grounds a rule set: it
+(range restriction).  One semi-naive kernel grounds a rule set a column at
+a time, with numpy sort-merge joins over interned argument columns: it
 derives the least fixpoint and emits, in one pass, every ground clause over
 it except self-loops, which never raise their conclusion, as the arrays
-that weighted evaluation runs on.  This module alone fixes the clause
-order, (conclusion, rule id, antecedents), which decides the winning
+that weighted evaluation runs on.  A join plan that is empty for sure is
+skipped, and a grounding past ``CLAUSE_BUDGET`` clauses, or join rows in one
+step, stops with ``GroundingBudgetError``.  This module alone fixes the
+clause order, (conclusion, rule id, antecedents), which decides the winning
 derivation among equal values; bodies shorter than the longest are padded
 with -1.  All structures are immutable after construction and safe to share
 across threads.
@@ -15,12 +18,9 @@ across threads.
 from __future__ import annotations
 
 import re
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,138 +253,119 @@ class Problem(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Grounding and Boolean evaluation: one semi-naive, indexed kernel
+# Grounding and Boolean evaluation: one semi-naive, column-at-a-time kernel
 # ---------------------------------------------------------------------------
 #
 # Constants and relation names are interned as ints in sorted string order,
-# so interned facts sort exactly like ``Fact``s.  Each round joins every rule
-# once per body literal that can read the previous round's new facts (the
-# delta): literals left of it read only older facts, literals right of it read
-# all facts.  A clause is thus fired exactly once, in the round after its
-# newest antecedent arrived, and the rounds yield the least fixpoint together
-# with every ground clause over it.  A self-loop, a clause whose conclusion is
-# also an antecedent, is dropped as it fires: its value is a product of
-# factors <= 1 times its conclusion's, so it can never raise that value.
+# so interned facts sort exactly like ``Fact``s.  Each relation keeps its
+# facts in arrival order as int32 argument columns and fact ids.  A round's
+# delta is the suffix that arrived in the last round and the old facts are
+# the prefix before it.  Each round joins every rule once per body literal
+# that reads the delta: literals left of it read only old facts, literals
+# right of it read all facts.  A clause is thus fired exactly once, in the
+# round after its newest antecedent arrived, and the rounds yield the least
+# fixpoint together with every ground clause over it.
+#
+# A join runs a column at a time over bindings that start from the rule's
+# constants.  Each literal packs its bound arguments into one exact key per
+# binding (int64, or Python ints where that could overflow) and finds them in
+# a sorted key index of the facts it reads, built on first use in a round; the
+# ``searchsorted`` ranges then expand the bindings by their matches with
+# ``np.repeat``.  The index already leaves out facts that break a repeated
+# variable.  A (rule, delta literal) plan is built on its first firing, and
+# skipped while its join is empty for sure: when a literal left of the delta
+# reads a relation without old facts, or any literal one without facts.
+# Conclusions are looked up among the known facts as they fire; the new ones
+# get fact ids at the end of the round, one per unique key.  A self-loop, a
+# clause whose conclusion is also an antecedent, is dropped as it fires: its
+# value is a product of factors <= 1 times its conclusion's, so it can never
+# raise that value.
+#
+# A join step that would expand to more than ``CLAUSE_BUDGET`` rows, or a
+# clause total past it, raises ``GroundingBudgetError`` before the rows exist.
+# The output alone takes 40 bytes a clause; the samegen pool over a 30-fact
+# binary tree, 10.2 M clauses, grounds in about 0.6 GB.
+
+CLAUSE_BUDGET = 16_000_000
 
 _OLD, _DELTA, _ALL = range(3)
 
 
-def _key(positions: Sequence[int]) -> Callable[[tuple], object]:
-    """Index key at ``positions``: the bare value for one position, else a tuple."""
-    return itemgetter(*positions) if positions else (lambda t: ())
+class GroundingBudgetError(ProblemError):
+    """Grounding would build more clauses, or join rows in one step, than the budget."""
+
+    def __init__(self, count: int, budget: int):
+        super().__init__(f"grounding stopped at {count:,} clauses or join rows, "
+                         f"over the budget of {budget:,}")
+        self.count = count
 
 
-def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """The values at ``positions``, always as a tuple."""
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda t: (t[p],)
-    return _key(positions)
+def _pack(columns: Sequence, radix: int, n: int) -> np.ndarray:
+    """Exact keys of ``n`` rows whose values at ``columns`` (arrays, or one int
+    for every row) lie in [0, radix): mixed radix, so keys sort like the rows.
+    int64 while ``radix ** len(columns)`` fits in it, else Python ints."""
+    wide = radix ** len(columns) > 2 ** 63
+    key = np.zeros(n, dtype=object if wide else np.int64)
+    for col in columns:
+        key *= radix
+        key += col.astype(object) if wide and isinstance(col, np.ndarray) else col
+    return key
 
 
-class _Relation:
-    """The facts of one relation as interned argument tuples, in arrival order.
-
-    Fact ids grow in arrival order, so every index bucket is sorted by id and
-    the facts of a round's delta are a suffix of it.
-    """
-
-    __slots__ = ("ids", "facts", "indexes")
-
-    def __init__(self):
-        self.ids: dict[tuple[int, ...], int] = {}  # every fact ever derived, by args
-        self.facts: list[tuple[tuple[int, ...], int]] = []  # (args, id) joinable this round
-        self.indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
-
-    def index(self, positions: tuple[int, ...]) -> dict:
-        """Fact ids keyed by their values at ``positions``, built on first use."""
-        entry = self.indexes.get(positions)
-        if entry is None:
-            key = _key(positions)
-            buckets: dict = {}
-            for args, fid in self.facts:
-                buckets.setdefault(key(args), []).append(fid)
-            entry = self.indexes[positions] = (key, buckets)
-        return entry[1]
-
-    def extend(self, new: list[tuple[tuple[int, ...], int]]) -> None:
-        self.facts.extend(new)
-        for key, buckets in self.indexes.values():
-            for args, fid in new:
-                buckets.setdefault(key(args), []).append(fid)
+def _unpack(keys: np.ndarray, radix: int, width: int) -> np.ndarray:
+    """The (width x n) int32 argument columns that ``_pack`` made ``keys`` of."""
+    args = np.empty((width, len(keys)), dtype=np.int32)
+    keys = keys.copy()
+    for p in reversed(range(width)):
+        args[p] = keys % radix
+        keys //= radix
+    return args
 
 
-class _Step(NamedTuple):
+class _Facts:
+    """One relation's facts: argument columns and fact ids in arrival order, and
+    every packed key sorted with its fact id.  The facts before ``n_old`` are
+    older than the round's delta, which is the rest."""
+
+    __slots__ = ("args", "ids", "n", "n_old", "known_keys", "known_ids")
+
+    def __init__(self, arity: int):
+        self.args = np.empty((arity, 0), dtype=np.int32)
+        self.ids = np.empty(0, dtype=np.int32)
+        self.n = self.n_old = 0
+        self.known_keys, self.known_ids = np.empty(0, dtype=np.int64), self.ids
+
+    def extend(self, keys: np.ndarray, ids: np.ndarray, args: np.ndarray) -> None:
+        """Append new facts: they are the next round's delta."""
+        self.n_old = self.n
+        self.n += len(ids)
+        self.args = np.concatenate([self.args, args], axis=1)
+        self.ids = np.concatenate([self.ids, ids])
+        keys = np.concatenate([self.known_keys, keys])
+        order = np.argsort(keys, kind="stable")
+        self.known_keys, self.known_ids = keys[order], np.concatenate([self.known_ids, ids])[order]
+
+
+class _Join(NamedTuple):
     """One body literal of a join plan."""
 
     relation: str
-    positions: tuple[int, ...]         # argument positions bound on entry
-    key: Callable                      # binding -> index key at those positions
-    mode: int                          # _OLD, _DELTA or _ALL facts
-    equal: tuple[tuple[int, int], ...]  # positions that repeat a new variable
-    bind: Callable | None              # fact args -> values of the new variables
+    mode: int                           # _OLD, _DELTA or _ALL facts
+    positions: tuple[int, ...]          # argument positions bound on entry
+    slots: tuple[int, ...]              # the binding slots that hold their values
+    equal: tuple[tuple[int, int], ...]  # position pairs that repeat a new variable
+    carry: tuple[int, ...]              # variable slots bound before and read later
+    new: tuple[tuple[int, int], ...]    # (position, slot) of each new variable read later
 
 
 class _Plan(NamedTuple):
     """How to fire one rule when one of its body literals reads the delta."""
 
     rule: int
-    start: tuple[int, ...]  # initial binding: the rule's constants
-    steps: tuple[_Step, ...]
-    head: Callable          # binding -> head args
-    emit: Callable          # antecedents in join order + (conclusion,) -> clause row
-
-
-def _plan(r: int, rule: Rule, delta: int, const_id: Mapping[str, int]) -> _Plan:
-    """Join ``rule`` starting from the delta literal, then most-bound literal first.
-
-    Bindings are tuples holding the rule's constants, then each variable in
-    the order the join binds it.
-    """
-    slot: dict = {}
-    for atom in (rule.head, *rule.body):
-        for t in atom.args:
-            if isinstance(t, Const):
-                slot.setdefault(t, len(slot))
-    start = tuple(const_id[c.value] for c in slot)
-
-    def boundness(i: int) -> tuple[bool, int, int]:
-        args = rule.body[i].args
-        n_bound = sum(1 for t in args if t in slot)
-        return (n_bound == len(args), n_bound, -i)
-
-    order = [delta]
-    rest = [i for i in range(len(rule.body)) if i != delta]
-    steps = []
-    while True:
-        atom = rule.body[order[-1]]
-        positions, slots, equal, new = [], [], [], {}
-        for p, t in enumerate(atom.args):
-            if t in slot:
-                positions.append(p)
-                slots.append(slot[t])
-            elif t in new:
-                equal.append((new[t], p))
-            else:
-                new[t] = p
-        for t in new:
-            slot[t] = len(slot)
-        i = order[-1]
-        steps.append(_Step(atom.relation, tuple(positions), _key(slots),
-                           _DELTA if i == delta else _OLD if i < delta else _ALL,
-                           tuple(equal), _picker(list(new.values())) if new else None))
-        if not rest:
-            break
-        nxt = max(rest, key=boundness)
-        rest.remove(nxt)
-        order.append(nxt)
-
-    unbound = [t for t in rule.head.args if t not in slot]
-    if unbound:
-        raise SemanticError(f"rule {rule.id}: head variable {unbound[0]} not bound in body")
-    head = _picker([slot[t] for t in rule.head.args])
-    emit = _picker([len(order)] + [order.index(i) for i in range(len(order))])
-    return _Plan(r, start, tuple(steps), head, emit)
+    consts: tuple[int, ...]  # the first binding slots: the rule's constants
+    joins: tuple[_Join, ...]
+    head: tuple[int, ...]    # the slot of each head argument
+    body: tuple[int, ...]    # the join step of each body literal, in body order
 
 
 class _Kernel:
@@ -392,129 +373,294 @@ class _Kernel:
 
     def __init__(self, rules: Iterable[Rule], input: Database):
         self.rules = tuple(rules)
-        atoms = [a for r in self.rules for a in (r.head, *r.body)]
-        self.input = input
-        self.names = sorted({f.relation for f in input.facts()} | {a.relation for a in atoms})
-        self.constants = sorted({c for f in input.facts() for c in f.args}
-                                | {t.value for a in atoms for t in a.args if isinstance(t, Const)})
-        const_id = {c: i for i, c in enumerate(self.constants)}
-        self.relations = {name: _Relation() for name in self.names}
-        self.rel_rank = {name: i for i, name in enumerate(self.names)}
-        self.plans: list[list[_Plan]] = []
-        for r, rule in enumerate(self.rules):
+        for rule in self.rules:
             if not rule.body:
                 raise SemanticError(f"rule {rule.id}: empty body")
-            self.plans.append([_plan(r, rule, d, const_id) for d in range(len(rule.body))])
+            bound = {v for atom in rule.body for v in atom.variables()}
+            unbound = [v for v in rule.head.variables() if v not in bound]
+            if unbound:
+                raise SemanticError(f"rule {rule.id}: head variable {unbound[0]} not bound in body")
+        atoms = [a for r in self.rules for a in (r.head, *r.body)]
+        names = sorted({f.relation for f in input.facts()} | {a.relation for a in atoms})
+        self.constants = sorted({c for f in input.facts() for c in f.args}
+                                | {t.value for a in atoms for t in a.args if isinstance(t, Const)})
+        self.const_id = {c: i for i, c in enumerate(self.constants)}
+        self.radix = max(len(self.constants), 1)
+        arity = {name: len(tuples[0].args) for name, tuples in input.tuples.items()}
+        for atom in atoms:
+            arity.setdefault(atom.relation, len(atom.args))
+        self.facts = {name: _Facts(arity[name]) for name in names}
+        self.body_facts = [[self.facts[a.relation] for a in rule.body] for rule in self.rules]
+        self.uses: dict[str, list[tuple[int, int]]] = {name: [] for name in names}
+        for r, rule in enumerate(self.rules):
+            for d, atom in enumerate(rule.body):
+                self.uses[atom.relation].append((r, d))
+        self.plans: dict[tuple[int, int], _Plan] = {}
+        self.clauses: list[list[tuple[np.ndarray, ...]]] = [[] for _ in self.rules]
+        self.n_clauses = 0
+        self._index: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._new: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
-        self.args: list[tuple[int, ...]] = []  # fact id -> interned args
-        self.rank: list[int] = []              # fact id -> relation rank
-        self.clauses = [array("q") for _ in self.rules]  # flat (conclusion, antecedents...)
-        self._pending = {name: [] for name in self.names}
-        for f in input.facts():
-            self._fact(f.relation, tuple(const_id[c] for c in f.args))
-        self.n_input = len(self.args)
+        # the input facts have ids 0, 1, ... in Database order, and are the first delta
+        self.inputs = list(input.facts())
+        self.n_facts = 0
+        for name, tuples in input.tuples.items():
+            args = np.array([[self.const_id[c] for c in f.args] for f in tuples],
+                            dtype=np.int32).reshape(len(tuples), arity[name]).T
+            ids = np.arange(self.n_facts, self.n_facts + len(tuples), dtype=np.int32)
+            self.facts[name].extend(_pack(args, self.radix, len(tuples)), ids,
+                                    np.ascontiguousarray(args))
+            self.n_facts += len(tuples)
+        self.n_input = len(self.inputs)
         self._run()
 
-    def _fact(self, relation: str, args: tuple[int, ...]) -> int:
-        """The id of a fact, added to the next round's delta if it is new."""
-        ids = self.relations[relation].ids
-        fid = ids.get(args)
-        if fid is None:
-            fid = ids[args] = len(self.args)
-            self.args.append(args)
-            self.rank.append(self.rel_rank[relation])
-            self._pending[relation].append((args, fid))
-        return fid
-
     def _run(self) -> None:
-        lo = 0
-        while lo < len(self.args):
-            # the facts with ids in [lo, hi) are this round's delta
-            hi = len(self.args)
-            fresh = set()
-            for name, new in self._pending.items():
-                if new:
-                    self.relations[name].extend(new)
-                    self._pending[name] = []
-                    fresh.add(name)
-            for plans in self.plans:
-                for plan in plans:
-                    if plan.steps[0].relation in fresh:
-                        self._fire(plan, lo)
-            lo = hi
+        while fresh := [name for name, facts in self.facts.items() if facts.n_old < facts.n]:
+            self._index = {}
+            for name in fresh:
+                for r, d in self.uses[name]:
+                    body = self.body_facts[r]
+                    if all(f.n_old for f in body[:d]) and all(f.n for f in body[d + 1:]):
+                        self._fire(self._plan(r, d))
+            self._intern()
 
-    def _fire(self, plan: _Plan, lo: int) -> None:
-        rows = [(plan.start, ())]
-        args_of = self.args
-        for step in plan.steps:
-            buckets = self.relations[step.relation].index(step.positions)
-            key, mode, equal, bind = step.key, step.mode, step.equal, step.bind
-            out = []
-            for b, ants in rows:
-                bucket = buckets.get(key(b))
-                if not bucket:
-                    continue
-                if mode == _OLD:
-                    if bucket[-1] >= lo:
-                        bucket = bucket[:bisect_left(bucket, lo)]
-                elif mode == _DELTA:
-                    bucket = bucket[bisect_left(bucket, lo):]
-                for fid in bucket:
-                    args = args_of[fid]
-                    if equal and any(args[p] != args[q] for p, q in equal):
-                        continue
-                    out.append((b + bind(args) if bind else b, (*ants, fid)))
-            rows = out
-            if not rows:
+    def _plan(self, r: int, delta: int) -> _Plan:
+        """Join rule ``r`` from its delta literal, then most-bound literal first.
+
+        Built on first firing.  Each term becomes a binding slot: the rule's
+        constants first, then its variables.  A variable is carried past a
+        step only while a later step or the head reads it.
+        """
+        plan = self.plans.get((r, delta))
+        if plan is not None:
+            return plan
+        rule = self.rules[r]
+        slot: dict = {}
+        for atom in (rule.head, *rule.body):
+            for t in atom.args:
+                if isinstance(t, Const):
+                    slot.setdefault((t.value,), len(slot))
+        consts = tuple(self.const_id[c] for c, in slot)
+        head, *body = (tuple(slot.setdefault(t if isinstance(t, str) else (t.value,), len(slot))
+                             for t in atom.args) for atom in (rule.head, *rule.body))
+
+        bound = set(range(len(consts)))
+        order = [delta]
+        rest = [i for i in range(len(body)) if i != delta]
+        steps = []
+        while True:
+            positions, slots, equal, new = [], [], [], {}
+            for p, s in enumerate(body[order[-1]]):
+                if s in bound:
+                    positions.append(p)
+                    slots.append(s)
+                elif s in new:
+                    equal.append((new[s], p))
+                else:
+                    new[s] = p
+            bound.update(new)
+            steps.append((order[-1], tuple(positions), tuple(slots), tuple(equal), new))
+            if not rest:
+                break
+            nxt = rest[0] if len(rest) == 1 else max(
+                rest, key=lambda i: (bound.issuperset(body[i]), sum(s in bound for s in body[i]), -i))
+            rest.remove(nxt)
+            order.append(nxt)
+
+        live, joins = set(head), []
+        for i, positions, slots, equal, new in reversed(steps):
+            joins.append(_Join(
+                rule.body[i].relation, _DELTA if i == delta else _OLD if i < delta else _ALL,
+                positions, slots, equal,
+                tuple(s for s in live if s >= len(consts) and s not in new),
+                tuple((p, s) for s, p in new.items() if s in live)))
+            live = live.difference(new).union(slots)
+        plan = self.plans[r, delta] = _Plan(r, consts, tuple(reversed(joins)), head,
+                                            tuple(map(order.index, range(len(order)))))
+        return plan
+
+    def _lookup(self, join: _Join) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted keys at ``join.positions`` of the facts ``join`` reads, and
+        their rows in the relation; built on first use in a round."""
+        index = (join.relation, join.mode, join.positions, join.equal)
+        entry = self._index.get(index)
+        if entry is None:
+            facts = self.facts[join.relation]
+            lo = facts.n_old if join.mode == _DELTA else 0
+            hi = facts.n_old if join.mode == _OLD else facts.n
+            rows = np.arange(lo, hi)
+            for p, q in join.equal:
+                rows = rows[facts.args[p, rows] == facts.args[q, rows]]
+            keys = _pack([facts.args[p, rows] for p in join.positions], self.radix, len(rows))
+            order = np.argsort(keys, kind="stable")
+            entry = self._index[index] = (keys[order], rows[order])
+        return entry
+
+    def _fire(self, plan: _Plan) -> None:
+        consts = dict(enumerate(plan.consts))
+        # the delta literal comes first, and only the rule's constants are bound
+        first = plan.joins[0]
+        facts = self.facts[first.relation]
+        keys, rows = self._lookup(first)
+        if first.slots:
+            key = _pack([consts[s] for s in first.slots], self.radix, 1)[0]
+            rows = rows[keys.searchsorted(key):keys.searchsorted(key, "right")]
+        if not len(rows):
+            return
+        binding = {**consts, **{s: facts.args[p][rows] for p, s in first.new}}
+        ants = [facts.ids[rows]]  # fact ids, one column per join step
+        n = len(rows)
+        for join in plan.joins[1:]:
+            facts = self.facts[join.relation]
+            keys, rows = self._lookup(join)
+            probe = _pack([binding[s] for s in join.slots], self.radix, n)
+            lo = keys.searchsorted(probe)
+            counts = keys.searchsorted(probe, "right") - lo
+            total = int(counts.sum())
+            if total > CLAUSE_BUDGET:
+                raise GroundingBudgetError(total, CLAUSE_BUDGET)
+            if not total:
                 return
-        relation = self.rules[plan.rule].head.relation
-        head, emit, buf = plan.head, plan.emit, self.clauses[plan.rule]
-        for b, ants in rows:
-            conclusion = self._fact(relation, head(b))
-            if conclusion not in ants:
-                buf.extend(emit((*ants, conclusion)))
+            # binding i matches rows[lo[i]:lo[i] + counts[i]]
+            take = np.arange(n).repeat(counts)
+            rows = rows[np.arange(total) + (lo - counts.cumsum() + counts).repeat(counts)]
+            binding = {**consts, **{s: binding[s][take] for s in join.carry},
+                       **{s: facts.args[p][rows] for p, s in join.new}}
+            ants = [a[take] for a in ants]
+            ants.append(facts.ids[rows])
+            n = total
 
-    def _to_fact(self, fid: int) -> Fact:
-        return Fact(self.names[self.rank[fid]], tuple(self.constants[c] for c in self.args[fid]))
+        relation = self.rules[plan.rule].head.relation
+        head = self.facts[relation]
+        key = _pack([binding[s] for s in plan.head], self.radix, n)
+        concl = np.full(n, -1, dtype=np.int32)  # -1 until a new conclusion gets its id
+        if head.n:
+            at = head.known_keys.searchsorted(key)
+            np.minimum(at, head.n - 1, out=at)
+            concl = np.where(head.known_keys[at] == key, head.known_ids[at], concl)
+        keep = ants[0] != concl
+        for a in ants[1:]:
+            keep &= a != concl
+        if not keep.all():
+            concl, key, ants = concl[keep], key[keep], [a[keep] for a in ants]
+            if not len(concl):
+                return
+        self.n_clauses += len(concl)
+        if self.n_clauses > CLAUSE_BUDGET:
+            raise GroundingBudgetError(self.n_clauses, CLAUSE_BUDGET)
+        miss = (concl < 0).nonzero()[0]
+        if len(miss):
+            self._new.setdefault(relation, []).append((concl, miss, key[miss]))
+        self.clauses[plan.rule].append((concl, *(ants[j] for j in plan.body)))
+
+    def _intern(self) -> None:
+        """Give the round's new conclusions fact ids, one per unique key; they are
+        the next round's delta."""
+        for name, facts in self.facts.items():
+            pending = self._new.pop(name, None)
+            if pending is None:
+                facts.n_old = facts.n
+                continue
+            # the unique keys and each key's index among them, by one stable sort
+            # (np.unique's inverse path maps about 0.6 MB more of numpy's sort code)
+            keys = np.concatenate([k for _, _, k in pending])
+            order = keys.argsort(kind="stable")
+            keys = keys[order]
+            first = np.append(True, keys[1:] != keys[:-1])
+            inverse = np.empty(len(keys), dtype=np.intp)
+            inverse[order] = first.cumsum() - 1
+            keys = keys[first]
+            ids = np.arange(self.n_facts, self.n_facts + len(keys), dtype=np.int32)
+            self.n_facts += len(keys)
+            at = 0
+            for concl, miss, k in pending:
+                concl[miss] = ids[inverse[at:at + len(k)]]
+                at += len(k)
+            facts.extend(keys, ids, _unpack(keys, self.radix, len(facts.args)))
+
+    def _sorted_facts(self) -> tuple[list[Fact], np.ndarray]:
+        """Every fact, sorted, and the position of each fact id among them; the
+        input facts are the input's own objects."""
+        facts: list[Fact] = []
+        position = np.empty(self.n_facts, dtype=np.int64)
+        for name, rel in self.facts.items():
+            if rel.n:
+                position[rel.known_ids] = np.arange(len(facts), len(facts) + rel.n)
+                args = _unpack(rel.known_keys, self.radix, len(rel.args)).T.tolist()
+                facts.extend(self.inputs[fid] if fid < self.n_input
+                             else Fact(name, tuple(self.constants[c] for c in row))
+                             for fid, row in zip(rel.known_ids.tolist(), args))
+        return facts, position
 
     def derived(self) -> list[Fact]:
         """The derived facts that are not input facts."""
-        return [self._to_fact(fid) for fid in range(self.n_input, len(self.args))]
+        return [Fact(name, tuple(self.constants[c] for c in row))
+                for name, rel in self.facts.items()
+                for row in rel.args[:, rel.ids >= self.n_input].T.tolist()]
 
     def grounding(self) -> "Grounding":
-        n_facts = len(self.args)
-        order = sorted(range(n_facts), key=lambda fid: (self.rank[fid], self.args[fid]))
-        position = np.empty(n_facts, dtype=np.int64)
-        position[order] = np.arange(n_facts, dtype=np.int64)
-        inputs = list(self.input.facts())
-        facts = [inputs[fid] if fid < self.n_input else self._to_fact(fid) for fid in order]
+        facts, position = self._sorted_facts()
+        rules = [r for r in range(len(self.rules)) if self.clauses[r]]
+        width = max((len(self.rules[r].body) for r in rules), default=0)
+        by_rank = sorted(range(len(self.rules)), key=lambda r: self.rules[r].id)
+        rank = np.empty(len(self.rules), dtype=np.int64)
+        rank[by_rank] = np.arange(len(self.rules))
 
-        # the rules with clauses in id order, each one's sorted by (conclusion, antecedents)
-        by_id = sorted((r for r in range(len(self.rules)) if self.clauses[r]),
-                       key=lambda r: self.rules[r].id)
-        sizes = [len(self.clauses[r]) // (len(self.rules[r].body) + 1) for r in by_id]
-        width = max((len(self.rules[r].body) for r in by_id), default=0)
-        concl = np.empty(sum(sizes), dtype=np.int64)
-        cols = np.full((width, len(concl)), -1, dtype=np.intp)
-        lo = 0
-        for r, n in zip(by_id, sizes):
-            k = len(self.rules[r].body)
-            rows = position[np.frombuffer(self.clauses[r], dtype=np.int64).reshape(n, k + 1)]
-            rows = rows[np.lexsort(rows.T[::-1])]
-            concl[lo:lo + n] = rows[:, 0]
-            cols[:k, lo:lo + n] = rows[:, 1:].T
-            lo += n
-        rule = np.repeat(np.array(by_id, dtype=np.int64), sizes)
-        # a stable sort by conclusion gives (conclusion, rule id, antecedents) order;
-        # take keeps the columns C-contiguous
-        order = np.argsort(concl, kind="stable")
+        # A clause is one bit field each for its conclusion, its rule's id rank
+        # and its antecedents, most significant first, in as few int64 words as
+        # hold them.  Fact fields hold positions, antecedents + 1 so that a pad
+        # is 0.  No two clauses are equal, so sorting the words as numbers puts
+        # the clauses in (conclusion, rule id, antecedents) order.
+        fact_bits = len(facts).bit_length()
+        sizes = [fact_bits, len(self.rules).bit_length()] + [fact_bits] * width
+        groups: list[list[int]] = [[]]
+        for i, bits in enumerate(sizes):
+            if sum(sizes[j] for j in groups[-1]) + bits > 63:
+                groups.append([])
+            groups[-1].append(i)
+        place = {}  # field -> (word, shift)
+        for w, group in enumerate(groups):
+            shift = 0
+            for i in reversed(group):
+                place[i] = (w, shift)
+                shift += sizes[i]
+
+        n = sum(len(chunk[0]) for r in rules for chunk in self.clauses[r])
+        words = [np.zeros(n, dtype=np.int64) for _ in groups]
+        at = 0
+        for r in rules:
+            for concl, *ants in self.clauses[r]:
+                for i, value in enumerate((position[concl], rank[r],
+                                           *(position[a] + 1 for a in ants))):
+                    w, shift = place[i]
+                    words[w][at:at + len(concl)] |= value << shift
+                at += len(concl)
+            self.clauses[r] = []
+        if len(words) == 1:
+            words[0].sort()
+        else:
+            order = np.lexsort(words[::-1])
+            words = [word[order] for word in words]
+
+        def field(i: int, out: np.ndarray | None = None) -> np.ndarray:
+            w, shift = place[i]
+            out = np.right_shift(words[w], shift, out=out)
+            out &= (1 << sizes[i]) - 1
+            return out
+
+        rule = np.array(by_rank, dtype=np.int64)[field(1)]
+        cols = np.empty((width, n), dtype=np.intp)
+        for j in range(width):
+            field(2 + j, cols[j])
+            cols[j] -= 1
+        concl = field(0, words[0])  # read last, so it takes the first word's memory
         return Grounding(
             facts=facts,
             input_idx=np.sort(position[:self.n_input]),
             rule_ids=tuple(r.id for r in self.rules),
-            concl=concl[order],
-            rule=rule[order],
-            cols=np.take(cols, order, axis=1))
+            concl=concl,
+            rule=rule,
+            cols=cols)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,17 @@
 """End-to-end command-line behavior over temporary problem directories."""
 
+from pathlib import Path
+
 import pytest
 
-from difflog import cli
+from difflog import cli, core
 from difflog.cli import (EXIT_BAD_INPUT, EXIT_NO_SOLUTION, EXIT_OK, main,
                          run_portfolio)
-from difflog.core import parse_problem, parse_rules, write_problem
+from difflog.core import (GroundingBudgetError, ground, parse_problem,
+                          parse_rules, write_problem)
 from difflog.optimizer import SearchConfig
+
+SAMEGEN = Path(__file__).resolve().parents[1] / "problems" / "samegen"
 
 
 @pytest.fixture
@@ -191,3 +196,86 @@ def test_eval_rejects_bad_weight(family_dir, tmp_path, capsys, value, message):
     assert code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert f"{weights}:3:" in err and message in err
+
+
+def no_traceback_error(err: str) -> bool:
+    return err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture
+def small_budget(monkeypatch):
+    """A clause budget that samegen passes, and the count its error reports."""
+    monkeypatch.setattr(core, "CLAUSE_BUDGET", 1000)
+    problem = parse_problem(SAMEGEN)
+    with pytest.raises(GroundingBudgetError) as info:
+        ground(problem.rules, problem.input)
+    return f"{info.value.count:,}"
+
+
+def test_synth_over_the_clause_budget_exits_1_with_the_count(small_budget, tmp_path, capsys):
+    code = main(["synth", str(SAMEGEN), "--seeds", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and small_budget in err
+    assert not (tmp_path / "out" / "report.tsv").exists()
+
+
+def test_eval_over_the_clause_budget_exits_1_with_the_count(small_budget, capsys):
+    code = main(["eval", str(SAMEGEN)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and small_budget in err
+
+
+def test_bench_over_the_clause_budget_prints_an_error_row(small_budget, family_dir, tmp_path,
+                                                         capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{SAMEGEN}\n{family_dir}\n")
+    code = main(["bench", str(manifest), "--seeds", "1", "--timeout", "30"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1].startswith("samegen\terror: ") and small_budget in lines[1]
+    assert lines[2].startswith("family\t")
+
+
+def test_bench_manifest_that_is_a_directory(tmp_path, capsys):
+    code = main(["bench", str(tmp_path), "--seeds", "1"])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and str(tmp_path) in err
+
+
+def test_encode_3cnf_input_that_is_a_directory(tmp_path, capsys):
+    code = main(["encode-3cnf", str(tmp_path), "--out", str(tmp_path / "encoded")])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and str(tmp_path) in err
+
+
+def test_gen_rules_relations_file_that_is_a_directory(tmp_path, capsys):
+    (tmp_path / "relations.txt").mkdir()
+    code = main(["gen-rules", "--problem", str(tmp_path), "--max-body-len", "2", "--k", "1"])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and "relations.txt" in err
+
+
+def test_synth_out_that_is_an_existing_file(family_dir, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code = main(["synth", str(family_dir), "--seeds", "1", "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_encode_3cnf_out_that_is_an_existing_file(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code = main(["encode-3cnf", str(cnf), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and str(out) in err

@@ -6,9 +6,12 @@ conclusion is also an antecedent.  ``naive_fixpoint`` / ``naive_ground``
 re-ground every rule with nested loops each round; both must agree on the
 fixpoint, on ``check_solution``, and on the clause set and order less the
 self-loops.  Values, provenance and rounds must equal those of a reference
-fixpoint over every naive clause, self-loops included.
+fixpoint over every naive clause, self-loops included.  The arrays of the
+golden problems and of the samegen pool over a 14-fact tree are pinned by
+hash, and a clause budget stops a grounding that grows past it.
 """
 
+import hashlib
 import random
 from collections import Counter
 from pathlib import Path
@@ -17,10 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from difflog import core
 from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
-                          RelationDecl, Rule, boolean_fixpoint,
-                          check_solution, ground, parse_problem,
-                          validate_rule)
+                          GroundingBudgetError, ProblemError, RelationDecl,
+                          Rule, boolean_fixpoint, check_solution, ground,
+                          parse_problem, validate_rule)
 from difflog.testkit import (ground_clauses, naive_fixpoint, naive_ground,
                              random_weights)
 from difflog.viterbi import Evaluator
@@ -229,3 +233,140 @@ def test_golden_problem_matches_naive(name):
     rng = random.Random(name)
     assert_matches_oracle(problem.rules, problem.input, oracle,
                           [random_weights(rng, problem.rules, 0.25, 0.75)])
+
+
+def tree_input(n: int) -> Database:
+    """``parent`` facts of a binary tree: node i's parent is node (i - 1) // 2."""
+    return Database(Fact("parent", (f"n{i}", f"n{(i - 1) // 2}")) for i in range(1, n + 1))
+
+
+def grounding_digests(grounding) -> dict:
+    """The clause count and the sha256 of each ``Grounding`` field, dtype and shape included."""
+    out = {"clauses": len(grounding),
+           "facts": hashlib.sha256(repr(grounding.facts).encode()).hexdigest()}
+    for name in ("input_idx", "concl", "rule", "cols"):
+        a = getattr(grounding, name)
+        out[name] = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+    return out
+
+
+# recorded from the tuple-at-a-time kernel that the column kernel replaced
+PINNED = {
+    "samegen": {
+        "clauses": 33752,
+        "facts": "ba37ad22584c787c8c19b0376397b0746953dd5875e2d49bbff4cb011ac9dd69",
+        "input_idx": "70bcd51f176e1e5a9ca43b3dadd32da51335d3cb3b32f9f5b5e44a14f4debf0c",
+        "concl": "5c00ad8d4b52d57ebbe84ae8d546672882f17c1e5b984f75a99d8d94bb68163b",
+        "rule": "7ad702f04013dd057f58e2b374e7355005ab70b1c5bf7aaf0dd275d3385c3f81",
+        "cols": "7473587a08c4dc6d114872ba85af4c26771cda08b6d63f5e02389420c2ccce44"},
+    "andersen": {
+        "clauses": 21461,
+        "facts": "21e24ab92b89a4bc70adc0238f22cbf210636f61f1a3e165a35c97a8a4d19794",
+        "input_idx": "c4b6d774816d7d50366acc2d44c191b88c0c93580fd4fd704e6ba926913b1630",
+        "concl": "920c2eec8e4b38564454a966509ce0612de262c2b2453ebab419750f6c36f014",
+        "rule": "49f02d5b961203747e8ed8eaa4f96bf6523422f881603ebbbd64e122b574f9a0",
+        "cols": "bac5c238d43f88a804427c726c37ac93f7bc763c848f4b1887824cc4b1bafe2c"},
+    "tree14": {
+        "clauses": 609488,
+        "facts": "6ce67416657d1297e950b837cd82860423f0dca3ebaf6e78acf99b7ec9e41aa4",
+        "input_idx": "c94d993214252fa5d4cb9f4535ef72df2906fee5297aff9466e24f5474a0dce6",
+        "concl": "2ec15f6c2804a87c6bf3f721eb08c788b50d267ee31ddfd91f4d8a5c93f705b8",
+        "rule": "e35776bf7686bb2171df1f9b799d60a9bafb91a9ccfe6e88b1e2f8ed6e983531",
+        "cols": "ea53af416eeca617ed0d90a95b0605aed1bfa6efbfffd8a67a1073ebf081b24b"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_grounding_arrays_match_pinned_hashes(name):
+    if name == "tree14":
+        problem = parse_problem(PROBLEMS / "samegen")._replace(input=tree_input(14))
+    else:
+        problem = parse_problem(PROBLEMS / name)
+    grounding = ground(problem.rules, problem.input)
+    assert grounding.cols.flags.c_contiguous
+    assert grounding_digests(grounding) == PINNED[name]
+
+
+def test_keys_past_int64_stay_exact():
+    """Arity 8 over 300 constants: packed keys reach 300**8 > 2**63.  Two input
+    tuples whose keys differ by exactly 2**64 would collide if keys wrapped."""
+    width, radix = 8, 300
+    assert radix ** width > 2 ** 63
+
+    def digits(key: int) -> tuple[int, ...]:
+        return tuple(key // radix ** (width - 1 - p) % radix for p in range(width))
+
+    low = (0, 0, 0, 0, 0, 0, 1, 2)
+    high = digits(2 ** 64 + sum(d * radix ** (width - 1 - p) for p, d in enumerate(low)))
+    # every constant occurs, so the kernel's radix is 300
+    rows = [low, high] + [tuple((8 * i + p) % radix for p in range(width)) for i in range(38)]
+    input_db = Database(Fact("e8", tuple(f"c{d:03d}" for d in row)) for row in rows)
+    decls = {"e8": RelationDecl("e8", width, "input"), "o8": RelationDecl("o8", width, "output")}
+    v = ("a", "b", "c", "d", "e", "f", "g", "h")
+    rules = CandidateRuleSet([
+        Rule("w1", Atom("o8", v), (Atom("e8", v),)),
+        Rule("w2", Atom("o8", v[::-1]), (Atom("o8", v),)),
+        Rule("w3", Atom("o8", v[1:] + v[:1]), (Atom("o8", v), Atom("e8", v))),
+        Rule("w4", Atom("o8", (*v[:7], "y")), (Atom("o8", v), Atom("e8", (*v[:7], "y")))),
+    ])
+    for rule in rules:
+        validate_rule(rule, decls)
+    # a copy keeps both colliding tuples; this fails fast where keys wrap
+    assert boolean_fixpoint([rules["w1"]], input_db) == \
+        Database(Fact("o8", f.args) for f in input_db.facts())
+    fixpoint = boolean_fixpoint(rules, input_db)
+    assert fixpoint == naive_fixpoint(rules, input_db)
+    assert Fact("o8", tuple(f"c{d:03d}" for d in high[::-1])) in fixpoint
+    oracle = oracle_arrays(rules, input_db)
+    assert_matches_oracle(rules, input_db, oracle, [dict.fromkeys(rules.ids(), 0.5)])
+
+
+def test_clause_order_past_one_int64_word():
+    """Over 4,096 facts a position takes 13 bits, so a conclusion, five
+    antecedents and a rule rank take more than 63: the clause sort spans words."""
+    chain = [Fact("e", (f"k{i}", f"k{i + 1}")) for i in range(7)] + [Fact("e", ("k2", "k0"))]
+    input_db = Database([*chain, *(Fact("pad", (f"p{i:04d}",)) for i in range(4100))])
+    v = [f"x{i}" for i in range(6)]
+    rules = CandidateRuleSet([
+        Rule("c1", Atom("p", ("x", "y")), (Atom("e", ("x", "y")),)),
+        Rule("c2", Atom("p", ("x", "z")), (Atom("p", ("x", "y")), Atom("e", ("y", "z")))),
+        Rule("c5", Atom("p", (v[0], v[5])), tuple(Atom("e", (a, b)) for a, b in zip(v, v[1:]))),
+    ])
+    grounding = ground(rules, input_db)
+    assert len(grounding.facts).bit_length() * 6 > 63
+    oracle = oracle_arrays(rules, input_db)
+    assert triples(ground_clauses(grounding)) == triples(oracle["kept"])
+    assert_matches_oracle(rules, input_db, oracle, [{"c1": 0.9, "c2": 0.8, "c5": 0.7}])
+
+
+def test_recursive_rule_whose_left_literal_is_derived_later():
+    """``b`` gets its first facts in round 2, so in round 3 the plan of ``t`` with
+    its delta at ``t(z, y)`` has a left literal without old facts and is skipped:
+    the plan with its delta at ``b`` finds those clauses."""
+    input_db = Database(Fact("e", (f"k{i}", f"k{i + 1}")) for i in range(5))
+    x, y, z = "x", "y", "z"
+    rules = CandidateRuleSet([
+        Rule("t1", Atom("t", (x, y)), (Atom("b", (x, z)), Atom("t", (z, y)))),
+        Rule("t2", Atom("t", (x, y)), (Atom("a", (x, y)),)),
+        Rule("t3", Atom("b", (x, y)), (Atom("a", (x, y)),)),
+        Rule("t4", Atom("a", (x, y)), (Atom("e", (x, y)),)),
+    ])
+    fixpoint = boolean_fixpoint(rules, input_db)
+    assert fixpoint == naive_fixpoint(rules, input_db)
+    assert Fact("t", ("k0", "k5")) in fixpoint
+    oracle = oracle_arrays(rules, input_db)
+    assert triples(ground_clauses(ground(rules, input_db))) == triples(oracle["kept"])
+    assert_matches_oracle(rules, input_db, oracle, [dict.fromkeys(rules.ids(), 0.5)])
+
+
+def test_ground_stops_at_the_clause_budget(monkeypatch):
+    problem = parse_problem(PROBLEMS / "samegen")
+    monkeypatch.setattr(core, "CLAUSE_BUDGET", 1000)
+    with pytest.raises(GroundingBudgetError) as info:
+        ground(problem.rules, problem.input)
+    assert isinstance(info.value, ProblemError)
+    assert info.value.count > 1000
+    assert f"{info.value.count:,}" in str(info.value) and "1,000" in str(info.value)
+    with pytest.raises(GroundingBudgetError):
+        boolean_fixpoint(problem.rules, problem.input)
+
