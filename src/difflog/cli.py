@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import statistics
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import (ProblemError, format_rule, parse_problem, parse_relations,
-                   parse_rules, validate_rule, write_problem, write_rules)
+from .core import (CandidateRuleSet, ProblemError, parse_problem, parse_relations,
+                   parse_rules, read_text, validate_rule, write_problem, write_rules)
 from .optimizer import SearchConfig, SearchOutcome, SearchRunner
-from .rulegen import GenConfig, GenerationOverflow, generate
+from .rulegen import GenConfig, generate
 from .testkit import encode_3cnf, parse_dimacs
 from .viterbi import Evaluator
 
@@ -40,9 +41,7 @@ class RunReport:
 def run_portfolio(problem, seeds: int, base_seed: int, config: SearchConfig,
                   trace=None) -> RunReport:
     """Round-robin portfolio: seed i runs with rng_seed = base_seed + i."""
-    evaluator = Evaluator(
-        problem.rules, problem.input,
-        output_relations=[d.name for d in problem.relations.values() if d.kind == "output"])
+    evaluator = Evaluator(problem.rules, problem.input)
     runners = [SearchRunner(problem, dataclasses.replace(config, rng_seed=base_seed + i),
                             evaluator, trace(i) if trace is not None else None)
                for i in range(seeds)]
@@ -86,43 +85,20 @@ def write_report(path: Path, base_seed: int, outcomes: list[SearchOutcome]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read(path: str | Path) -> str:
-    """The text of a file named on the command line; ProblemError if it cannot be read."""
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ProblemError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _make_dir(path: Path) -> None:
-    """Create an output directory; ProblemError if it cannot be made."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ProblemError(f"cannot create directory {path}: {exc.strerror}") from None
-
-
 def _load_problem(directory: str, rules_override: str | None):
     problem = parse_problem(directory)
     if rules_override:
-        rules_text = _read(rules_override)
-        rules = parse_rules(rules_text, rules_override)
+        rules = parse_rules(read_text(rules_override), rules_override)
         for rule in rules:
             validate_rule(rule, problem.relations)
-        from .core import CandidateRuleSet, Problem
-        problem = Problem(problem.relations, problem.input, problem.labels,
-                          CandidateRuleSet(rules))
+        problem = problem._replace(rules=CandidateRuleSet(rules))
     return problem
 
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out) if args.out else Path(args.problem)
-    try:
-        problem = _load_problem(args.problem, args.rules)
-        _make_dir(out_dir)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    problem = _load_problem(args.problem, args.rules)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     config = SearchConfig(max_iters=args.max_iters, mcmc_period=args.mcmc_period,
                           timeout=args.timeout)
@@ -142,9 +118,6 @@ def cmd_synth(args) -> int:
     started = time.perf_counter()
     try:
         report = run_portfolio(problem, args.seeds, args.base_seed, config, trace)
-    except ProblemError as exc:  # a grounding over its budget
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     finally:
         if handle is not None:
             handle.close()
@@ -153,8 +126,7 @@ def cmd_synth(args) -> int:
     write_report(out_dir / "report.tsv", args.base_seed, report.outcomes)
     if report.winner is not None:
         rules = [problem.rules[rid] for rid in sorted(report.winner)]
-        lines = [format_rule(r) for r in rules]
-        (out_dir / "solution.dl").write_text("# recovered program\n" + "\n".join(lines) + "\n")
+        write_rules(rules, out_dir / "solution.dl", header="recovered program")
         print(f"solved with {len(rules)} rules in {elapsed:.2f}s "
               f"(best run {report.best_time:.2f}s); wrote {out_dir / 'solution.dl'}")
         return EXIT_OK
@@ -164,33 +136,25 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        problem = _load_problem(args.problem, args.rules)
-        weights = {rid: 1.0 for rid in problem.rules.ids()}
-        if args.weights:
-            for lineno, raw in enumerate(_read(args.weights).splitlines(), 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                rid, _, value = line.partition("\t")
-                if rid not in problem.rules:
-                    raise ProblemError(f"{args.weights}:{lineno}: unknown rule id {rid}")
-                try:
-                    weight = float(value)
-                except ValueError:
-                    raise ProblemError(
-                        f"{args.weights}:{lineno}: weight {value!r} is not a number") from None
-                if not 0.0 <= weight <= 1.0:  # also rejects NaN
-                    raise ProblemError(f"{args.weights}:{lineno}: weight {value} is not in [0, 1]")
-                weights[rid] = weight
-        evaluator = Evaluator(
-            problem.rules, problem.input,
-            output_relations=[d.name for d in problem.relations.values()
-                              if d.kind == "output"])
-        result = evaluator.evaluate(weights)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    problem = _load_problem(args.problem, args.rules)
+    weights = {rid: 1.0 for rid in problem.rules.ids()}
+    if args.weights:
+        for lineno, raw in enumerate(read_text(args.weights).splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            rid, _, value = line.partition("\t")
+            if rid not in problem.rules:
+                raise ProblemError(f"{args.weights}:{lineno}: unknown rule id {rid}")
+            try:
+                weight = float(value)
+            except ValueError:
+                raise ProblemError(
+                    f"{args.weights}:{lineno}: weight {value!r} is not a number") from None
+            if not 0.0 <= weight <= 1.0:  # also rejects NaN
+                raise ProblemError(f"{args.weights}:{lineno}: weight {value} is not in [0, 1]")
+            weights[rid] = weight
+    result = Evaluator(problem.rules, problem.input).evaluate(weights)
 
     lines = []
     for fact in result.derived.facts():
@@ -204,15 +168,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_rules(args) -> int:
-    try:
-        directory = Path(args.problem)
-        decls = parse_relations(_read(directory / "relations.txt"), directory / "relations.txt")
-        config = GenConfig(max_body_len=args.max_body_len, k=args.k, cap=args.cap,
-                           allow_recursion=not args.no_recursion)
-        rules = generate(decls, config)
-    except (ProblemError, GenerationOverflow, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    directory = Path(args.problem)
+    decls = parse_relations(read_text(directory / "relations.txt"), directory / "relations.txt")
+    config = GenConfig(max_body_len=args.max_body_len, k=args.k, cap=args.cap,
+                       allow_recursion=not args.no_recursion)
+    rules = generate(decls, config)
     out_path = directory / "rules.dl"
     write_rules(rules, out_path)
     print(f"wrote {len(rules)} rules to {out_path}")
@@ -220,12 +180,7 @@ def cmd_gen_rules(args) -> int:
 
 
 def cmd_encode_3cnf(args) -> int:
-    try:
-        problem = encode_3cnf(parse_dimacs(_read(args.cnf)))
-        _make_dir(Path(args.out))
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    problem = encode_3cnf(parse_dimacs(read_text(args.cnf)))
     write_problem(args.out, problem.relations, problem.input, problem.labels,
                   problem.rules)
     print(f"wrote problem directory {args.out} "
@@ -234,11 +189,7 @@ def cmd_encode_3cnf(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        lines = [line.strip() for line in _read(args.manifest).splitlines()]
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    lines = [line.strip() for line in read_text(args.manifest).splitlines()]
     entries = [line for line in lines if line and not line.startswith("#")]
 
     print("Benchmark\tRel\tExp\tCnd\tIn\tOut\tIter\tSmpl\tTime")
@@ -316,30 +267,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _search_flag_error(args) -> str | None:
-    """Why the search flags are invalid, or None if they are valid."""
-    if args.seeds < 1:
-        return f"--seeds must be at least 1, got {args.seeds}"
-    if not args.timeout >= 0.0:  # also rejects NaN
-        return f"--timeout must be non-negative, got {args.timeout}"
-    if args.max_iters < 0:
-        return f"--max-iters must be non-negative, got {args.max_iters}"
-    if args.mcmc_period < 1:
-        return f"--mcmc-period must be at least 1, got {args.mcmc_period}"
+def _flag_error(args) -> str | None:
+    """Why a numeric flag is invalid, or None if they are all valid."""
+    if args.command == "gen-rules":
+        if args.max_body_len < 1:
+            return f"--max-body-len must be at least 1, got {args.max_body_len}"
+        if args.k < 0:
+            return f"--k must be non-negative, got {args.k}"
+    elif args.command in ("synth", "bench"):
+        if args.seeds < 1:
+            return f"--seeds must be at least 1, got {args.seeds}"
+        if not args.timeout >= 0.0:  # also rejects NaN
+            return f"--timeout must be non-negative, got {args.timeout}"
+        if args.max_iters < 0:
+            return f"--max-iters must be non-negative, got {args.max_iters}"
+        if args.mcmc_period < 1:
+            return f"--mcmc-period must be at least 1, got {args.mcmc_period}"
     return None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("synth", "bench"):
-        if args.seeds is None:
-            import os
-            args.seeds = os.cpu_count() or 1
-        error = _search_flag_error(args)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    return args.func(args)
+    if args.command in ("synth", "bench") and args.seeds is None:
+        args.seeds = os.cpu_count() or 1
+    error = _flag_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    # the one place a failure becomes exit 1: bad input, and files that
+    # cannot be written; anything else is a bug and keeps its traceback
+    try:
+        return args.func(args)
+    except (ProblemError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -812,18 +812,8 @@ def parse_rules(text: str, path=None) -> list[Rule]:
     return rules
 
 
-def format_term(term) -> str:
-    return f'"{term.value}"' if isinstance(term, Const) else term
-
-
-def format_atom(atom: Atom) -> str:
-    return f"{atom.relation}({','.join(format_term(a) for a in atom.args)})"
-
-
-def format_rule(rule: Rule, with_id: bool = True) -> str:
-    body = ", ".join(format_atom(a) for a in rule.body)
-    text = f"{format_atom(rule.head)} :- {body}."
-    return f"{rule.id}: {text}" if with_id else text
+def format_rule(rule: Rule) -> str:
+    return f"{rule.id}: {rule}"
 
 
 def parse_relations(text: str, path=None) -> dict[str, RelationDecl]:
@@ -884,6 +874,16 @@ def parse_label_lines(text: str, decls: Mapping[str, RelationDecl], path=None) -
     return facts
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file; ProblemError naming ``path`` if it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ProblemError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemError(f"cannot read {path}: {exc}") from None
+
+
 def parse_problem(directory: str | Path) -> Problem:
     """Load and validate a problem directory.
 
@@ -894,7 +894,7 @@ def parse_problem(directory: str | Path) -> Problem:
     rel_path = directory / "relations.txt"
     if not rel_path.is_file():
         raise ProblemError(f"missing {rel_path}")
-    decls = parse_relations(rel_path.read_text(), rel_path)
+    decls = parse_relations(read_text(rel_path), rel_path)
 
     for facts_path in directory.glob("*.facts"):
         name = facts_path.stem
@@ -910,21 +910,21 @@ def parse_problem(directory: str | Path) -> Problem:
             continue
         facts_path = directory / f"{decl.name}.facts"
         if facts_path.is_file():
-            facts.extend(parse_fact_lines(facts_path.read_text(), decl, facts_path))
+            facts.extend(parse_fact_lines(read_text(facts_path), decl, facts_path))
     input_db = Database(facts)
 
     def load_labels(filename: str) -> frozenset[Fact]:
         path = directory / filename
         if not path.is_file():
             return frozenset()
-        return frozenset(parse_label_lines(path.read_text(), decls, path))
+        return frozenset(parse_label_lines(read_text(path), decls, path))
 
     labels = LabelSet(load_labels("labels.pos"), load_labels("labels.neg"))
 
     rules_path = directory / "rules.dl"
     if not rules_path.is_file():
         raise ProblemError(f"missing {rules_path}")
-    rules = parse_rules(rules_path.read_text(), rules_path)
+    rules = parse_rules(read_text(rules_path), rules_path)
     for rule in rules:
         validate_rule(rule, decls)
     return Problem(decls, input_db, labels, CandidateRuleSet(rules))
@@ -948,7 +948,8 @@ def write_problem(directory: str | Path, decls: Mapping[str, RelationDecl],
     write_rules(rules, directory / "rules.dl")
 
 
-def write_rules(rules: Iterable[Rule], path: str | Path) -> None:
-    """Write rules.dl in the standard format; round-trips through parse_problem."""
+def write_rules(rules: Iterable[Rule], path: str | Path, header: str = "candidate rules") -> None:
+    """Write rules in the rules.dl format under a ``# header`` line; round-trips
+    through parse_problem."""
     lines = [format_rule(r) for r in rules]
-    Path(path).write_text("# candidate rules\n" + "\n".join(lines) + ("\n" if lines else ""))
+    Path(path).write_text(f"# {header}\n" + "\n".join(lines) + ("\n" if lines else ""))

@@ -17,6 +17,8 @@ from .core import LabelSet, Problem, check_solution
 from .viterbi import EvaluationResult, Evaluator
 
 CLAMP_EPS = 1e-6
+ANNEALING_C = 0.0001  # the cooling constant c of ``temperature``
+INIT_LOW, INIT_HIGH = 0.25, 0.75  # initial weights are drawn uniformly from this range
 
 
 class ZeroGradientError(Exception):
@@ -27,15 +29,10 @@ class ZeroGradientError(Exception):
 class SearchConfig:
     max_iters: int = 10_000
     mcmc_period: int = 30
-    annealing_c: float = 0.0001
-    init_low: float = 0.25
-    init_high: float = 0.75
     rng_seed: int = 0
     timeout: float | None = None  # seconds of search compute time
 
     def __post_init__(self):
-        if not 0.0 <= self.init_low < self.init_high <= 1.0:
-            raise ValueError("require 0 <= init_low < init_high <= 1")
         if self.mcmc_period < 1:
             raise ValueError("mcmc_period must be >= 1")
 
@@ -167,15 +164,15 @@ class SearchRunner:
         self.config = config
         self.trace = trace
         self.rng = random.Random(config.rng_seed)
-        self.evaluator = evaluator if evaluator is not None else Evaluator(
-            problem.rules, problem.input,
-            output_relations=[d.name for d in problem.relations.values() if d.kind == "output"])
+        if evaluator is None:
+            evaluator = Evaluator(problem.rules, problem.input)
+        self.evaluator = evaluator
         self.iterations = 0
         self.samplings = 0
         self.elapsed = 0.0
         self.outcome: SearchOutcome | None = None
 
-        self.w = np.array([self.rng.uniform(config.init_low, config.init_high)
+        self.w = np.array([self.rng.uniform(INIT_LOW, INIT_HIGH)
                            for _ in self.evaluator.rule_ids])
         if config.timeout is not None and config.timeout <= 0.0:
             self._finish("timeout")
@@ -228,7 +225,7 @@ class SearchRunner:
                 accepted = (w, *self._evaluate(w))
                 event = "newton"
         if is_mcmc:
-            temp = temperature(self.iterations, self.config.annealing_c)
+            temp = temperature(self.iterations, ANNEALING_C)
             w = mcmc_propose(self.w, self.rng)
             result, loss_new = self._evaluate(w)
             self.samplings += 1
@@ -243,7 +240,7 @@ class SearchRunner:
             self._accept(*accepted)
         if self.trace is not None:
             self.trace(self.iterations, self.loss, event,
-                       temperature(self.iterations, self.config.annealing_c))
+                       temperature(self.iterations, ANNEALING_C))
         self.elapsed += time.perf_counter() - start
         return self.outcome
 

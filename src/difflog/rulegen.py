@@ -13,13 +13,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import (OUTPUT, Atom, CandidateRuleSet, RelationDecl, Rule,
+from .core import (OUTPUT, Atom, CandidateRuleSet, ProblemError, RelationDecl, Rule,
                    validate_rule)
 
 DEFAULT_CAP = 50_000
 
 
-class GenerationOverflow(Exception):
+class GenerationOverflow(ProblemError):
     """Candidate-set size exceeded the cap; retry with a smaller budget."""
 
     def __init__(self, count: int, cap: int):

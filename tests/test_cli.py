@@ -279,3 +279,65 @@ def test_encode_3cnf_out_that_is_an_existing_file(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert no_traceback_error(err) and str(out) in err
+
+
+def non_utf8_problem_file(problem, tmp_path):
+    (problem / "labels.pos").write_bytes(b"samegen\tWill\t\xc9mma\n")
+    return ["synth", str(problem), "--seeds", "1"], problem / "labels.pos"
+
+
+def non_utf8_weights_file(problem, tmp_path):
+    weights = tmp_path / "w.tsv"
+    weights.write_bytes(b"r1\t0.5\n# \xff\n")
+    return ["eval", str(problem), "--weights", str(weights)], weights
+
+
+def report_that_is_a_directory(problem, tmp_path):
+    (tmp_path / "out" / "report.tsv").mkdir(parents=True)
+    return (["synth", str(problem), "--seeds", "1", "--out", str(tmp_path / "out")],
+            tmp_path / "out" / "report.tsv")
+
+
+def trace_that_is_a_directory(problem, tmp_path):
+    (tmp_path / "out" / "trace.tsv").mkdir(parents=True)
+    return (["synth", str(problem), "--seeds", "1", "--trace", "--out", str(tmp_path / "out")],
+            tmp_path / "out" / "trace.tsv")
+
+
+def rules_file_that_is_a_directory(problem, tmp_path):
+    (problem / "rules.dl").unlink()
+    (problem / "rules.dl").mkdir()
+    return (["gen-rules", "--problem", str(problem), "--max-body-len", "2", "--k", "1"],
+            problem / "rules.dl")
+
+
+@pytest.mark.parametrize("make_case", [
+    non_utf8_problem_file, non_utf8_weights_file, report_that_is_a_directory,
+    trace_that_is_a_directory, rules_file_that_is_a_directory])
+def test_unreadable_input_or_unwritable_output_exits_1(family_dir, tmp_path, capsys, make_case):
+    argv, path = make_case(family_dir, tmp_path)
+    code = main(argv)
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and str(path) in err
+
+
+@pytest.mark.parametrize("flag, value", [("--max-body-len", "0"), ("--k", "-1")])
+def test_gen_rules_rejects_bad_flag(family_dir, monkeypatch, capsys, flag, value):
+    def never_read(path):
+        raise AssertionError(f"{path} read despite a bad flag")
+
+    monkeypatch.setattr(cli, "read_text", never_read)
+    rules = (family_dir / "rules.dl").read_text()
+    valid_other = {"--max-body-len": ["--k", "1"], "--k": ["--max-body-len", "2"]}[flag]
+    code = main(["gen-rules", "--problem", str(family_dir), flag, value, *valid_other])
+    assert code == EXIT_BAD_INPUT
+    assert flag in capsys.readouterr().err
+    assert (family_dir / "rules.dl").read_text() == rules
+
+
+def test_synth_without_positive_labels_writes_the_empty_program(family_dir):
+    (family_dir / "labels.pos").unlink()
+    code = main(["synth", str(family_dir), "--seeds", "1"])
+    assert code == EXIT_OK
+    assert (family_dir / "solution.dl").read_text() == "# recovered program\n"

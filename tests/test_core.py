@@ -188,7 +188,7 @@ def test_format_rule_round_trip(family_rules):
 def test_format_rule_round_trip_random(problem):
     for rule in problem.rules:
         assert parse_rule_line(format_rule(rule), "fallback") == rule
-        assert parse_rule_line(format_rule(rule, with_id=False), rule.id) == rule
+        assert parse_rule_line(str(rule), rule.id) == rule
 
 
 def test_parse_relations_and_errors():

@@ -147,8 +147,6 @@ def test_separation_fails_on_overlap(family_problem):
 
 def test_search_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(init_low=0.5, init_high=0.5)
-    with pytest.raises(ValueError):
         SearchConfig(mcmc_period=0)
 
 

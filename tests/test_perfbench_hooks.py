@@ -33,3 +33,16 @@ def test_tracer_hooks_resolve_and_record_a_traced_synth(monkeypatch, tmp_path):
     names = {span[0] for span in spans.spans}
     assert {"core.ground", "viterbi.build", "viterbi.evaluate"} <= names
     assert spans.total("core.ground.clauses", lambda tag: True) > 0
+
+
+def test_record_inputs_grounds_golden_with_the_recorded_clause_count(monkeypatch, tmp_path):
+    # record_inputs.py re-records perfbench/inputs.json; it builds each
+    # Evaluator with output_relations= and counts clauses through viterbi.ground
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for name in ("tracer", "oracle", "workloads", "record_inputs"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import record_inputs
+    import workloads
+
+    sizes = record_inputs.sizes(workloads.golden(ROOT, tmp_path, 0))
+    assert sizes["ground_clauses"] == 55213
