@@ -15,6 +15,6 @@ from .optimizer import (SearchConfig, SearchOutcome, SearchRunner, loss,
                         separation_check, temperature)
 from .rulegen import GenConfig, augment, chain_seeds, generate
 from .testkit import brute_force_value, encode_3cnf, random_instance
-from .viterbi import EvaluationResult, Evaluator, Provenance, gradient
+from .viterbi import EvaluationResult, Evaluator, gradient
 
 __version__ = "0.1.0"

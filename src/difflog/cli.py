@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ EXIT_NO_SOLUTION = 2
 class RunReport:
     outcomes: list[SearchOutcome]
     best_time: float | None
-    median_time: float | None
     timeouts: int
     winner: frozenset[str] | None
 
@@ -68,7 +66,6 @@ def run_portfolio(problem, seeds: int, base_seed: int, config: SearchConfig,
     return RunReport(
         outcomes=outcomes,
         best_time=min(solved_times) if solved_times else None,
-        median_time=statistics.median(solved_times) if solved_times else None,
         timeouts=sum(1 for o in outcomes if o.status == "timeout"),
         winner=winner.outcome.rules if winner is not None else None,
     )
@@ -159,7 +156,7 @@ def cmd_eval(args) -> int:
     lines = []
     for fact in result.derived.facts():
         prov = result.provenance_of(fact)
-        prov_text = ",".join(f"{rid}:{count}" for rid, count in sorted(prov.counts.items()))
+        prov_text = ",".join(f"{rid}:{count}" for rid, count in sorted(prov.items()))
         lines.append("\t".join((fact.relation, *fact.args,
                                 f"{result.value_of(fact):.12g}", prov_text)))
     for line in sorted(lines):

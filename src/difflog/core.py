@@ -909,13 +909,13 @@ def parse_problem(directory: str | Path) -> Problem:
         if decl.kind != INPUT:
             continue
         facts_path = directory / f"{decl.name}.facts"
-        if facts_path.is_file():
+        if facts_path.exists():
             facts.extend(parse_fact_lines(read_text(facts_path), decl, facts_path))
     input_db = Database(facts)
 
     def load_labels(filename: str) -> frozenset[Fact]:
         path = directory / filename
-        if not path.is_file():
+        if not path.exists():
             return frozenset()
         return frozenset(parse_label_lines(read_text(path), decls, path))
 

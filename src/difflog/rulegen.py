@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import (OUTPUT, Atom, CandidateRuleSet, ProblemError, RelationDecl, Rule,
-                   validate_rule)
+                   SemanticError, validate_rule)
 
 DEFAULT_CAP = 50_000
 
@@ -64,22 +64,26 @@ def canonicalize(rule: Rule) -> Rule:
     best = None
     for perm in itertools.permutations(rule.body):
         head, body = _rename_by_first_occurrence(rule.head, perm)
-        key = (head.relation, head.args, tuple((a.relation, a.args) for a in body))
+        key = _key(head, body)
         if best is None or key < best[0]:
             best = (key, head, body)
     return Rule(rule.id, best[1], best[2])
 
 
+def _key(head: Atom, body: tuple[Atom, ...]):
+    """A rule's structural key; on a canonical rule, its canonical key."""
+    return (head.relation, head.args, tuple((a.relation, a.args) for a in body))
+
+
 def _canonical_key(rule: Rule):
     c = canonicalize(rule)
-    return (c.head.relation, c.head.args,
-            tuple((a.relation, a.args) for a in c.body))
+    return _key(c.head, c.body)
 
 
 def _is_well_formed(rule: Rule, decls: Mapping[str, RelationDecl]) -> bool:
     try:
         validate_rule(rule, decls)
-    except Exception:
+    except SemanticError:
         return False
     return True
 
@@ -99,7 +103,7 @@ def chain_seeds(decls: Mapping[str, RelationDecl], max_body_len: int,
                 vars_ = ["x"] + [f"t{i}" for i in range(1, n)] + ["y"]
                 body = tuple(Atom(rel, (vars_[i], vars_[i + 1])) for i, rel in enumerate(rels))
                 rule = canonicalize(Rule("seed", Atom(head.name, ("x", "y")), body))
-                seen.setdefault(_canonical_key(rule), rule)
+                seen.setdefault(_key(rule.head, rule.body), rule)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -162,7 +166,7 @@ def augment(seeds: Iterable[Rule], k: int, decls: Mapping[str, RelationDecl],
     frontier: list[Rule] = []
     for seed in seeds:
         c = canonicalize(seed)
-        key = _canonical_key(c)
+        key = _key(c.head, c.body)
         if key not in seen and _is_well_formed(c, decls):
             seen[key] = c
             frontier.append(c)
@@ -173,7 +177,7 @@ def augment(seeds: Iterable[Rule], k: int, decls: Mapping[str, RelationDecl],
                 if not _is_well_formed(edited, decls):
                     continue
                 c = canonicalize(edited)
-                key = _canonical_key(c)
+                key = _key(c.head, c.body)
                 if key in seen:
                     continue
                 seen[key] = c

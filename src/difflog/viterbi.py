@@ -7,10 +7,11 @@ rule-occurrence counts of one value-maximal tree, which make the tuple
 values differentiable in closed form (dv_t/dw_r = count_r(t) * v_t / w_r).
 
 Weights are one float64 vector in rule-position order.  An evaluation is
-two arrays over fact rows: the values, and a (facts x rules) count matrix
-whose rows are the provenance monomials in N[X].  ``core.ground`` lays the
-clauses out conclusion-major, so a round is one segmented max (see
-``Evaluator``).
+two arrays over fact rows, and nothing else: the values, and a (facts x
+rules) count matrix whose rows are the provenance monomials in N[X].
+``value_of`` and ``provenance_of`` read one fact's row.  ``core.ground``
+lays the clauses out conclusion-major, so a round is one segmented max
+(see ``Evaluator``).
 """
 
 from __future__ import annotations
@@ -27,81 +28,21 @@ from .core import (CandidateRuleSet, Database, Fact, LabelSet, Rule,
                    SemanticError, boolean_fixpoint, ground)
 
 
-class Provenance:
-    """Rule-occurrence counts of one value-maximal derivation tree.
-
-    A tuple with no derivation has the distinguished undefined provenance
-    (an explicit marker, never a numeric sentinel).  Input tuples have
-    all-zero counts.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, counts: Mapping[str, int] | None):
-        self._counts = None if counts is None else {r: int(c) for r, c in counts.items() if c}
-
-    @staticmethod
-    def undefined() -> "Provenance":
-        return _UNDEFINED
-
-    @property
-    def defined(self) -> bool:
-        return self._counts is not None
-
-    @property
-    def counts(self) -> Mapping[str, int]:
-        if self._counts is None:
-            raise ValueError("no derivation: provenance is undefined")
-        return dict(self._counts)
-
-    def count(self, rule_id: str) -> int:
-        if self._counts is None:
-            raise ValueError("no derivation: provenance is undefined")
-        return self._counts.get(rule_id, 0)
-
-    def __repr__(self):
-        return "Provenance(undefined)" if self._counts is None else f"Provenance({self._counts!r})"
-
-
-_UNDEFINED = Provenance(None)
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluationResult:
     """Output of one weighted evaluation, as arrays over the evaluator's fact rows.
 
     ``values[i]`` is the value of fact ``i``; ``counts[i, r]`` is how often
-    rule ``r`` occurs in its recorded tree.  A fact with value 0 has no
-    derivation and an all-zero, undefined row.  The last row is the zero row
-    of facts outside the grounding.  The ``Fact``-keyed attributes are views
-    built on first use.
+    rule ``r`` occurs in its recorded tree, so row ``i`` is the fact's
+    provenance monomial.  A fact with value 0 has no derivation and an
+    all-zero row, as do input facts.  The last row is the zero row of facts
+    outside the grounding (``Evaluator.row_of``).
     """
 
     values: np.ndarray
     counts: np.ndarray
     rounds: int  # fixpoint-loop iterations executed
     evaluator: "Evaluator"
-
-    def _provenance_at(self, row: int) -> Provenance:
-        if not self.values[row] > 0.0:
-            return _UNDEFINED
-        counts, rule_ids = self.counts[row], self.evaluator.rule_ids
-        return Provenance({rule_ids[r]: counts[r] for r in np.flatnonzero(counts)})
-
-    @cached_property
-    def _rows(self) -> list[int]:
-        """Rows of the facts with a value: the inputs and the derived tuples."""
-        return np.flatnonzero(self.values[:-1] > 0.0).tolist()
-
-    @cached_property
-    def value(self) -> Mapping[Fact, float]:
-        facts = self.evaluator._facts
-        return {facts[i]: float(self.values[i]) for i in self._rows}
-
-    @cached_property
-    def provenance(self) -> Mapping[Fact, Provenance]:
-        facts = self.evaluator._facts
-        return {facts[i]: self._provenance_at(i) for i in self._rows}
 
     @cached_property
     def derived(self) -> Database:
@@ -113,8 +54,14 @@ class EvaluationResult:
     def value_of(self, t: Fact) -> float:
         return float(self.values[self.evaluator.row_of(t)])
 
-    def provenance_of(self, t: Fact) -> Provenance:
-        return self._provenance_at(self.evaluator.row_of(t))
+    def provenance_of(self, t: Fact) -> dict[str, int] | None:
+        """The nonzero rule counts of ``t``'s recorded tree ({} for an input
+        fact), or None when ``t`` has no derivation."""
+        row = self.evaluator.row_of(t)
+        if not self.values[row] > 0.0:
+            return None
+        counts, rule_ids = self.counts[row], self.evaluator.rule_ids
+        return {rule_ids[r]: int(counts[r]) for r in np.flatnonzero(counts)}
 
 
 class _Clauses(NamedTuple):
@@ -258,11 +205,9 @@ def gradient(result: EvaluationResult, w: Mapping[str, float], t: Fact) -> dict[
     """Partial derivatives of the tuple value with respect to each rule weight."""
     if t.relation not in result.evaluator.output_relations:
         raise SemanticError(f"{t} is not an output-relation tuple of this problem")
-    prov = result.provenance_of(t)
-    rule_ids = result.evaluator.rule_ids
-    if not prov.defined:
-        return {rid: 0.0 for rid in rule_ids}
-    v = result.value_of(t)
-    # a rule outside the tree has derivative 0, also at weight 0
-    return {rid: c * v / w[rid] if (c := prov.count(rid)) else 0.0 for rid in rule_ids}
-
+    row = result.evaluator.row_of(t)
+    counts, v = result.counts[row].tolist(), float(result.values[row])
+    # a count of 0 gives derivative 0, also at weight 0: a rule outside the tree,
+    # or any rule of a tuple without a derivation, whose row is all zero
+    return {rid: c * v / w[rid] if c else 0.0
+            for rid, c in zip(result.evaluator.rule_ids, counts)}

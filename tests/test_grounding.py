@@ -142,8 +142,10 @@ def assert_matches_oracle(rules: CandidateRuleSet, input: Database, oracle, weig
         u, provenance, rounds = reference_evaluate(oracle, ev.rule_ids, w)
         # bitwise, and the zero row of facts outside the grounding stays 0
         assert result.values.tobytes() == np.append(u, 0.0).tobytes()
-        assert result.value == {f: float(v) for f, v in zip(oracle["facts"], u) if v > 0.0}
-        assert {t: p.counts for t, p in result.provenance.items()} == provenance
+        assert {f: v for f in oracle["facts"] if (v := result.value_of(f)) > 0.0} == \
+            {f: float(v) for f, v in zip(oracle["facts"], u) if v > 0.0}
+        assert {t: p for t in oracle["facts"]
+                if (p := result.provenance_of(t)) is not None} == provenance
         assert not result.counts[result.values == 0.0].any()
         assert result.rounds == rounds
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from difflog import rulegen
 from difflog.core import (Atom, Rule, parse_relations, parse_rule_line,
                           parse_rules, validate_rule, write_rules)
 from difflog.rulegen import (GenConfig, GenerationOverflow, augment,
@@ -120,3 +121,21 @@ def test_no_duplicates_modulo_renaming():
     rules = augment(chain_seeds(decls, 2), 1, decls, max_body_len=3)
     keys = [key(r) for r in rules]
     assert len(keys) == len(set(keys))
+
+
+def test_augment_returns_canonical_rules():
+    # augment dedupes by the structural key of canonicalize's output, which is
+    # the canonical key only because canonicalize is idempotent
+    decls = parse_relations(ANDERSEN)
+    rules = augment(chain_seeds(decls, 2), 1, decls, max_body_len=3)
+    assert rules and all(canonicalize(r) == r for r in rules)
+
+
+def test_augment_keeps_a_validation_bug(monkeypatch):
+    def broken(rule, decls):
+        raise TypeError("bug in validate_rule")
+
+    monkeypatch.setattr(rulegen, "validate_rule", broken)
+    decls = parse_relations(FAMILY)
+    with pytest.raises(TypeError, match="bug in validate_rule"):
+        augment(chain_seeds(decls, 2), 1, decls)
