@@ -9,12 +9,15 @@ yields a reproducible report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .core import (CandidateRuleSet, ProblemError, parse_problem, parse_relations,
                    parse_rules, read_text, validate_rule, write_problem, write_rules)
@@ -71,7 +74,7 @@ def run_portfolio(problem, seeds: int, base_seed: int, config: SearchConfig,
     )
 
 
-def write_report(path: Path, base_seed: int, outcomes: list[SearchOutcome]) -> None:
+def write_report(handle: TextIO, base_seed: int, outcomes: list[SearchOutcome]) -> None:
     # wall_ms is reported at whole-second granularity so that reruns with the
     # same base seed produce byte-identical reports.
     lines = ["seed\tstatus\titerations\tsamplings\twall_ms"]
@@ -79,7 +82,7 @@ def write_report(path: Path, base_seed: int, outcomes: list[SearchOutcome]) -> N
         wall_ms = int(outcome.wall_time) * 1000
         lines.append(f"{base_seed + i}\t{outcome.status}\t{outcome.iterations}"
                      f"\t{outcome.samplings}\t{wall_ms}")
-    path.write_text("\n".join(lines) + "\n")
+    handle.write("\n".join(lines) + "\n")
 
 
 def _load_problem(directory: str, rules_override: str | None):
@@ -97,36 +100,44 @@ def cmd_synth(args) -> int:
     problem = _load_problem(args.problem, args.rules)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # an output that cannot be written fails here, before the search
+    solution = out_dir / "solution.dl"
+    if solution.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(solution))
     config = SearchConfig(max_iters=args.max_iters, mcmc_period=args.mcmc_period,
                           timeout=args.timeout)
 
-    trace = None
-    handle = None
-    if args.trace:
-        handle = (out_dir / "trace.tsv").open("w")
-        handle.write("seed\titer\tloss\tevent\ttemperature\n")
+    report_path = out_dir / "report.tsv"
+    with contextlib.ExitStack() as outputs:
+        trace = None
+        if args.trace:
+            handle = outputs.enter_context((out_dir / "trace.tsv").open("w"))
+            handle.write("seed\titer\tloss\tevent\ttemperature\n")
 
-        def trace(seed_index):
-            def emit(iteration, loss_value, event, temp):
-                handle.write(f"{args.base_seed + seed_index}\t{iteration}"
-                             f"\t{loss_value:.12g}\t{event}\t{temp:.6g}\n")
-            return emit
+            def trace(seed_index):
+                def emit(iteration, loss_value, event, temp):
+                    handle.write(f"{args.base_seed + seed_index}\t{iteration}"
+                                 f"\t{loss_value:.12g}\t{event}\t{temp:.6g}\n")
+                return emit
 
-    started = time.perf_counter()
-    try:
-        report = run_portfolio(problem, args.seeds, args.base_seed, config, trace)
-    finally:
-        if handle is not None:
-            handle.close()
-    elapsed = time.perf_counter() - started
+        report_file = outputs.enter_context(report_path.open("w"))
+        started = time.perf_counter()
+        try:
+            report = run_portfolio(problem, args.seeds, args.base_seed, config, trace)
+        except BaseException:
+            report_path.unlink()  # a run that fails leaves no report
+            raise
+        elapsed = time.perf_counter() - started
+        write_report(report_file, args.base_seed, report.outcomes)
 
-    write_report(out_dir / "report.tsv", args.base_seed, report.outcomes)
     if report.winner is not None:
         rules = [problem.rules[rid] for rid in sorted(report.winner)]
-        write_rules(rules, out_dir / "solution.dl", header="recovered program")
+        write_rules(rules, solution, header="recovered program")
         print(f"solved with {len(rules)} rules in {elapsed:.2f}s "
-              f"(best run {report.best_time:.2f}s); wrote {out_dir / 'solution.dl'}")
+              f"(best run {report.best_time:.2f}s); wrote {solution}")
         return EXIT_OK
+    if solution.is_file():
+        solution.unlink()  # an earlier run's program; this run found none
     print(f"no solution found ({report.timeouts}/{len(report.outcomes)} timeouts, "
           f"{elapsed:.2f}s)", file=sys.stderr)
     return EXIT_NO_SOLUTION

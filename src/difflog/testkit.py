@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (INPUT, OUTPUT, Atom, CandidateRuleSet, Const, Constant,
                    Database, Fact, Grounding, LabelSet, Problem, ProblemError,
-                   RelationDecl, Rule, boolean_fixpoint, check_solution)
+                   RelationDecl, Rule, boolean_fixpoint)
+from .viterbi import Evaluator
 
 TREE_GUARD = 10_000
 
@@ -234,13 +235,18 @@ def encode_3cnf(formula: Sequence[Clause3]) -> Problem:
 
 
 def exists_solution(problem: Problem, max_rules: int = 16) -> bool:
-    """Brute-force search over all rule subsets for an accepted solution."""
-    rules = problem.rules.rules
-    if len(rules) > max_rules:
-        raise ValueError(f"too many rules to enumerate: {len(rules)}")
-    for size in range(len(rules) + 1):
-        for subset in itertools.combinations(rules, size):
-            if check_solution(subset, problem.input, problem.labels).accepted:
+    """Brute-force search over all rule subsets for an accepted solution.
+
+    The pool is grounded once; each subset is checked on that grounding
+    (``Evaluator.check``, which agrees with ``core.check_solution``).
+    """
+    rule_ids = problem.rules.ids()
+    if len(rule_ids) > max_rules:
+        raise ValueError(f"too many rules to enumerate: {len(rule_ids)}")
+    evaluator = Evaluator(problem.rules, problem.input)
+    for size in range(len(rule_ids) + 1):
+        for subset in itertools.combinations(rule_ids, size):
+            if evaluator.check(subset, problem.labels).accepted:
                 return True
     return False
 

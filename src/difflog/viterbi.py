@@ -8,10 +8,11 @@ values differentiable in closed form (dv_t/dw_r = count_r(t) * v_t / w_r).
 
 Weights are one float64 vector in rule-position order.  An evaluation is
 two arrays over fact rows, and nothing else: the values, and a (facts x
-rules) count matrix whose rows are the provenance monomials in N[X].
-``value_of`` and ``provenance_of`` read one fact's row.  ``core.ground``
-lays the clauses out conclusion-major, so a round is one segmented max
-(see ``Evaluator``).
+fired rules) count matrix whose rows are the provenance monomials in N[X].
+A rule without a ground clause never occurs in a tree, so it has no count
+column (``Evaluator.fired``).  ``value_of`` and ``provenance_of`` read one
+fact's row.  ``core.ground`` lays the clauses out conclusion-major, so a
+round is one segmented max (see ``Evaluator``).
 """
 
 from __future__ import annotations
@@ -25,18 +26,19 @@ import numpy as np
 
 # boolean_fixpoint is re-exported: it is the positive support of an evaluation
 from .core import (CandidateRuleSet, Database, Fact, LabelSet, Rule,
-                   SemanticError, boolean_fixpoint, ground)
+                   SemanticError, SolutionCheck, boolean_fixpoint, ground)
 
 
 @dataclass(frozen=True, eq=False)
 class EvaluationResult:
     """Output of one weighted evaluation, as arrays over the evaluator's fact rows.
 
-    ``values[i]`` is the value of fact ``i``; ``counts[i, r]`` is how often
-    rule ``r`` occurs in its recorded tree, so row ``i`` is the fact's
-    provenance monomial.  A fact with value 0 has no derivation and an
-    all-zero row, as do input facts.  The last row is the zero row of facts
-    outside the grounding (``Evaluator.row_of``).
+    ``values[i]`` is the value of fact ``i``; ``counts[i, k]`` is how often
+    the rule at position ``evaluator.fired[k]`` occurs in its recorded tree,
+    so row ``i`` is the fact's provenance monomial.  Rules outside ``fired``
+    have no column: their count is 0 in every tree.  A fact with value 0 has
+    no derivation and an all-zero row, as do input facts.  The last row is
+    the zero row of facts outside the grounding (``Evaluator.row_of``).
     """
 
     values: np.ndarray
@@ -60,14 +62,14 @@ class EvaluationResult:
         row = self.evaluator.row_of(t)
         if not self.values[row] > 0.0:
             return None
-        counts, rule_ids = self.counts[row], self.evaluator.rule_ids
-        return {rule_ids[r]: int(counts[r]) for r in np.flatnonzero(counts)}
+        counts, ev = self.counts[row], self.evaluator
+        return {ev.rule_ids[ev.fired[k]]: int(counts[k]) for k in np.flatnonzero(counts)}
 
 
 class _Clauses(NamedTuple):
     """Clauses in ``core.ground``'s order, with each head's segment of them."""
 
-    rule: np.ndarray     # clause -> rule position
+    rule: np.ndarray     # clause -> count column (index into ``Evaluator.fired``)
     cols: np.ndarray     # (max body length x clauses) antecedent rows
     heads: np.ndarray    # the conclusions, ascending
     lengths: np.ndarray  # clauses per head
@@ -88,7 +90,12 @@ class Evaluator:
     Grounding runs once, in the constructor: the kernel derives the Boolean
     fixpoint of all candidate rules and every ground clause over it, less
     the self-loops.  Each evaluation then runs a vectorized max-product
-    fixpoint over those clauses.
+    fixpoint over those clauses.  ``fired`` holds the positions, in
+    ``rule_ids``, of the rules with at least one ground clause; only they
+    can occur in a tree, so only they get a count column, and an
+    evaluation reads only their weights.  The grounding holds every clause
+    that any subset of the rules can fire, so ``check`` decides a candidate
+    program without grounding again.
 
     Clauses are taken in the order ``core.ground`` numbers them, which is
     conclusion-major: each head's clauses form one segment, and its first
@@ -119,7 +126,11 @@ class Evaluator:
         self._facts = grounding.facts
         self._input_idx = grounding.input_idx
         self.derivable_count = len(grounding.facts) - len(grounding.input_idx)
-        n_facts, concl, rule = len(self._facts), grounding.concl, grounding.rule
+        n_facts, concl = len(self._facts), grounding.concl
+        fires = np.bincount(grounding.rule, minlength=len(self.rule_ids)) > 0
+        self.fired = np.flatnonzero(fires)
+        # each clause names its rule's count column: the rank among the fired rules
+        rule = (np.cumsum(fires) - 1)[grounding.rule]
         # the grounding is this evaluator's own, so its pads take the pad row in
         # place; a pool without clauses gets one empty antecedent column
         cols = grounding.cols if len(grounding.cols) else np.empty((1, 0), dtype=np.intp)
@@ -130,22 +141,28 @@ class Evaluator:
         first = known[cols].all(axis=0)
         self._first_round = _Clauses.of(concl[first], rule[first], cols[:, first], n_facts)
         self._row = {f: i for i, f in enumerate(self._facts)}
-        self._label_rows: dict[LabelSet, tuple[np.ndarray, int]] = {}
+        self._labels: dict[LabelSet, tuple[list[Fact], np.ndarray, int]] = {}
 
     def row_of(self, t: Fact) -> int:
         """The result row of ``t``; a fact outside the grounding has the zero row."""
         return self._row.get(t, len(self._facts))
 
-    def label_rows(self, labels: LabelSet) -> tuple[np.ndarray, int]:
-        """The result rows of the sorted positives, then the sorted negatives,
+    def _label_index(self, labels: LabelSet) -> tuple[list[Fact], np.ndarray, int]:
+        """The sorted positives, then the sorted negatives, their result rows,
         and the number of positives; computed once per label set."""
-        index = self._label_rows.get(labels)
+        index = self._labels.get(labels)
         if index is None:
             ordered = [*sorted(labels.positive), *sorted(labels.negative)]
-            index = (np.array([self.row_of(t) for t in ordered], dtype=np.int64),
+            index = (ordered, np.array([self.row_of(t) for t in ordered], dtype=np.int64),
                      len(labels.positive))
-            self._label_rows[labels] = index
+            self._labels[labels] = index
         return index
+
+    def label_rows(self, labels: LabelSet) -> tuple[np.ndarray, int]:
+        """The result rows of the sorted positives, then the sorted negatives,
+        and the number of positives."""
+        _, rows, n_positive = self._label_index(labels)
+        return rows, n_positive
 
     def _weight_vector(self, w: np.ndarray | Mapping[str, float]) -> np.ndarray:
         if isinstance(w, Mapping):
@@ -167,15 +184,41 @@ class Evaluator:
 
         A map must give a weight for every rule id (SemanticError); a vector
         of the wrong length or a weight outside [0, 1], NaN included, raises
-        ValueError.
+        ValueError.  Only the weights of the ``fired`` rules are read.
         """
-        wv = self._weight_vector(w)
+        return self._fixpoint(self._weight_vector(w)[self.fired])
+
+    def check(self, rule_ids: Iterable[str], labels: LabelSet) -> SolutionCheck:
+        """``core.check_solution`` of the program ``rule_ids``, read off this grounding.
+
+        At the program's 0/1 weight vector a fact has value 1 exactly when the
+        program derives it (acceptance criterion 2), so a positive label of
+        value 0 is missing and a negative label of value > 0 is spurious.  A
+        label outside the grounding reads the zero row.  Input facts count as
+        not derived, as in ``core.boolean_fixpoint``.
+        """
+        chosen = set(rule_ids)
+        unknown = chosen.difference(self.rule_ids)
+        if unknown:
+            raise SemanticError(f"unknown rule ids: {sorted(unknown)}")
+        w = np.array([self.rule_ids[r] in chosen for r in self.fired.tolist()], dtype=np.float64)
+        derived = self._fixpoint(w).values > 0.0
+        derived[self._input_idx] = False
+        ordered, rows, n_positive = self._label_index(labels)
+        hit = derived[rows]
+        missing = frozenset(ordered[i] for i in np.flatnonzero(~hit[:n_positive]).tolist())
+        spurious = frozenset(ordered[n_positive + i]
+                             for i in np.flatnonzero(hit[n_positive:]).tolist())
+        return SolutionCheck(not missing and not spurious, missing, spurious)
+
+    def _fixpoint(self, wf: np.ndarray) -> EvaluationResult:
+        """The max-product fixpoint at ``wf``, the weights of the ``fired`` rules."""
         # rows: the facts, the zero row of facts outside the grounding, the pad row
         u = np.zeros(len(self._facts) + 2)
         u[self._input_idx] = u[-1] = 1.0
-        counts = np.zeros((len(u), len(self.rule_ids)), dtype=np.int64)
+        counts = np.zeros((len(u), len(self.fired)), dtype=np.int64)
         # round 1 reads only the input and pad rows, so it runs over the input-only clauses
-        first, every = ((c, wv[c.rule], np.empty(len(c.rule)), np.empty(len(c.rule)))
+        first, every = ((c, wf[c.rule], np.empty(len(c.rule)), np.empty(len(c.rule)))
                         for c in (self._first_round, self._clauses))
         for rounds in itertools.count(1):
             c, weights, vals, antecedent = first if rounds == 1 else every
@@ -192,7 +235,7 @@ class Evaluator:
             wins = attain[np.searchsorted(attain, c.starts[changed])]
             facts = c.heads[changed]
             # a winner's row: its rule once, plus its antecedents' rows of the last round
-            rows = np.zeros((len(facts), len(self.rule_ids)), dtype=np.int64)
+            rows = np.zeros((len(facts), len(self.fired)), dtype=np.int64)
             rows[np.arange(len(facts)), c.rule[wins]] = 1
             for col in c.cols:
                 rows += counts[col[wins]]
@@ -203,11 +246,16 @@ class Evaluator:
 
 def gradient(result: EvaluationResult, w: Mapping[str, float], t: Fact) -> dict[str, float]:
     """Partial derivatives of the tuple value with respect to each rule weight."""
-    if t.relation not in result.evaluator.output_relations:
+    ev = result.evaluator
+    if t.relation not in ev.output_relations:
         raise SemanticError(f"{t} is not an output-relation tuple of this problem")
-    row = result.evaluator.row_of(t)
+    row = ev.row_of(t)
     counts, v = result.counts[row].tolist(), float(result.values[row])
     # a count of 0 gives derivative 0, also at weight 0: a rule outside the tree,
-    # or any rule of a tuple without a derivation, whose row is all zero
-    return {rid: c * v / w[rid] if c else 0.0
-            for rid, c in zip(result.evaluator.rule_ids, counts)}
+    # a rule that never fires, or any rule of a tuple without a derivation
+    grad = dict.fromkeys(ev.rule_ids, 0.0)
+    for r, c in zip(ev.fired.tolist(), counts):
+        if c:
+            rid = ev.rule_ids[r]
+            grad[rid] = c * v / w[rid]
+    return grad

@@ -347,3 +347,26 @@ def test_synth_without_positive_labels_writes_the_empty_program(family_dir):
     code = main(["synth", str(family_dir), "--seeds", "1"])
     assert code == EXIT_OK
     assert (family_dir / "solution.dl").read_text() == "# recovered program\n"
+
+
+def test_unsolved_synth_removes_an_earlier_solution(family_dir, capsys):
+    assert main(["synth", str(family_dir), "--seeds", "2"]) == EXIT_OK
+    assert (family_dir / "solution.dl").is_file()
+    code = main(["synth", str(family_dir), "--seeds", "2", "--timeout", "0"])
+    assert code == EXIT_NO_SOLUTION
+    assert (family_dir / "report.tsv").read_text().count("timeout") == 2
+    assert not (family_dir / "solution.dl").exists()
+
+
+@pytest.mark.parametrize("output", ["report.tsv", "solution.dl"])
+def test_unwritable_output_fails_before_the_search(family_dir, tmp_path, monkeypatch, capsys,
+                                                   output):
+    def never_searched(*args):
+        raise AssertionError("searched despite an unwritable output")
+
+    monkeypatch.setattr(cli, "run_portfolio", never_searched)
+    (tmp_path / "out" / output).mkdir(parents=True)
+    code = main(["synth", str(family_dir), "--seeds", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and str(tmp_path / "out" / output) in err

@@ -77,7 +77,10 @@ def assert_matches_reference(rules, input: Database, weights) -> Evaluator:
         result = ev.evaluate(wv)
         values, counts, rounds = reference_evaluate(grounding, np.asarray(wv, dtype=np.float64))
         assert result.values.tobytes() == values.tobytes()
-        assert result.counts.dtype == counts.dtype and np.array_equal(result.counts, counts)
+        # the result keeps a column per fired rule; every other rule has no count
+        assert result.counts.dtype == counts.dtype
+        assert np.array_equal(result.counts, counts[:, ev.fired])
+        assert not np.delete(counts, ev.fired, axis=1).any()
         assert result.rounds == rounds
     return ev
 

@@ -188,11 +188,12 @@ def test_search_core_matches_counter_reference(problem, rng):
         assert {t: v for t in grounding.facts if (v := result.value_of(t)) > 0.0} == value
         assert {t: p for t in grounding.facts
                 if (p := result.provenance_of(t)) is not None} == provenance
-        expected = np.zeros_like(result.counts)
+        expected = np.zeros((len(result.counts), len(ev.rule_ids)), dtype=result.counts.dtype)
         for t, counts in provenance.items():
             for rid, c in counts.items():
                 expected[ev.row_of(t), ev.rule_ids.index(rid)] = c
-        assert np.array_equal(result.counts, expected)
+        assert np.array_equal(result.counts, expected[:, ev.fired])
+        assert not np.delete(expected, ev.fired, axis=1).any()
         assert not result.values[-1] and not result.counts[-1].any()
 
         assert bits(loss(result, labels)) == bits(reference_loss(value, labels))
