@@ -2,13 +2,13 @@
 
 Constants are opaque strings.  Rules are pure positive Datalog: no
 negation, no arithmetic, and every head variable must occur in the body
-(range restriction).  One semi-naive kernel grounds a rule set a column at
-a time, with numpy sort-merge joins over interned argument columns: it
-derives the least fixpoint and emits, in one pass, every ground clause over
-it except self-loops, which never raise their conclusion, as the arrays
-that weighted evaluation runs on.  A join plan that is empty for sure is
-skipped, and a grounding past ``CLAUSE_BUDGET`` clauses, or join rows in one
-step, stops with ``GroundingBudgetError``.  This module alone fixes the
+(range restriction).  One semi-naive kernel grounds a rule set with numpy
+sort-merge joins over one interned fact table, and fires the rules that
+share a body shape as one join: it derives the least fixpoint and emits, in
+one pass, every ground clause over it except self-loops, which never raise
+their conclusion, as the arrays that weighted evaluation runs on.  A join
+that is empty for sure is skipped, and a grounding past ``CLAUSE_BUDGET``
+clauses, or join rows in one step, stops with ``GroundingBudgetError``.  This module alone fixes the
 clause order, (conclusion, rule id, antecedents), which decides the winning
 derivation among equal values; bodies shorter than the longest are padded
 with -1.  All structures are immutable after construction and safe to share
@@ -253,38 +253,51 @@ class Problem(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Grounding and Boolean evaluation: one semi-naive, column-at-a-time kernel
+# Grounding and Boolean evaluation: one semi-naive kernel, a body shape at a time
 # ---------------------------------------------------------------------------
 #
-# Constants and relation names are interned as ints in sorted string order,
-# so interned facts sort exactly like ``Fact``s.  Each relation keeps its
-# facts in arrival order as int32 argument columns and fact ids.  A round's
-# delta is the suffix that arrived in the last round and the old facts are
-# the prefix before it.  Each round joins every rule once per body literal
-# that reads the delta: literals left of it read only old facts, literals
-# right of it read all facts.  A clause is thus fired exactly once, in the
-# round after its newest antecedent arrived, and the rounds yield the least
-# fixpoint together with every ground clause over it.
+# Constants and relation names are interned as ints in sorted string order.
+# Every fact is a row of one table, in arrival order: its relation id, then
+# its arguments, padded with constant 0 past the relation's arity.  A fact's
+# id is its row, and its key packs the whole row, relation first, so keys
+# sort exactly like ``Fact``s.  A round's delta is the suffix of rows that
+# arrived in the last round and the old facts are the prefix before it.
+# Each round joins every rule once per body literal that reads the delta:
+# literals left of it read only old facts, literals right of it read all
+# facts.  A clause is thus fired exactly once, in the round after its newest
+# antecedent arrived, and the rounds yield the least fixpoint together with
+# every ground clause over it.
 #
-# A join runs a column at a time over bindings that start from the rule's
-# constants.  Each literal packs its bound arguments into one exact key per
-# binding (int64, or Python ints where that could overflow) and finds them in
-# a sorted key index of the facts it reads, built on first use in a round; the
-# ``searchsorted`` ranges then expand the bindings by their matches with
-# ``np.repeat``.  The index already leaves out facts that break a repeated
-# variable.  A (rule, delta literal) plan is built on its first firing, and
-# skipped while its join is empty for sure: when a literal left of the delta
-# reads a relation without old facts, or any literal one without facts.
+# How such a join runs depends on the rule's body shape, its pattern of
+# variables and constants, but not on its relation names or constant values.
+# So the (rule, delta literal) pairs are grouped by (body shape, delta
+# literal, body variables that the head reads), and the rules of a group
+# fire together, as one join a round.  A group's template, its join order
+# and key weights, is built on its first firing; relation ids and constants
+# are data, one static key part per rule and step, and the join rows carry
+# their rule's index in the group.  The first step probes the delta with
+# one key per rule.  Every later step packs each row's bound arguments into
+# one exact key (int64, or Python ints where that could overflow), finds it
+# in a sorted key index of the facts that the step reads, built on first use
+# in a round, and expands the rows by their matches with ``np.repeat``.  The
+# index already leaves out facts that break a repeated variable.  A head key
+# is a per-rule base plus each head variable times a per-rule weight, so one
+# pass projects heads over any relation, with constants and repeated
+# variables.  A pair whose join is empty for sure is not fired: one test a
+# round over all pairs finds those with a literal left of the delta over a
+# relation without old facts, or any literal over one without facts.
 # Conclusions are looked up among the known facts as they fire; the new ones
 # get fact ids at the end of the round, one per unique key.  A self-loop, a
 # clause whose conclusion is also an antecedent, is dropped as it fires: its
 # value is a product of factors <= 1 times its conclusion's, so it can never
-# raise that value.
+# raise that value.  Any batching of the joins gives the same arrays, since
+# ``grounding`` sorts the clauses.
 #
-# A join step that would expand to more than ``CLAUSE_BUDGET`` rows, or a
-# clause total past it, raises ``GroundingBudgetError`` before the rows exist.
-# The output alone takes 40 bytes a clause; the samegen pool over a 30-fact
-# binary tree, 10.2 M clauses, grounds in about 0.6 GB.
+# A join step whose rows, summed over the group's rules, would pass
+# ``CLAUSE_BUDGET``, or a clause total past it, raises ``GroundingBudgetError``
+# before the rows exist.  The output alone takes 40 bytes a clause; the
+# samegen pool over a 30-fact binary tree, 10.2 M clauses, grounds in about
+# 0.6 GB.
 
 CLAUSE_BUDGET = 16_000_000
 
@@ -313,7 +326,7 @@ def _pack(columns: Sequence, radix: int, n: int) -> np.ndarray:
 
 
 def _unpack(keys: np.ndarray, radix: int, width: int) -> np.ndarray:
-    """The (width x n) int32 argument columns that ``_pack`` made ``keys`` of."""
+    """The (width x n) int32 columns that ``_pack`` made ``keys`` of."""
     args = np.empty((width, len(keys)), dtype=np.int32)
     keys = keys.copy()
     for p in reversed(range(width)):
@@ -322,50 +335,110 @@ def _unpack(keys: np.ndarray, radix: int, width: int) -> np.ndarray:
     return args
 
 
-class _Facts:
-    """One relation's facts: argument columns and fact ids in arrival order, and
-    every packed key sorted with its fact id.  The facts before ``n_old`` are
-    older than the round's delta, which is the rest."""
-
-    __slots__ = ("args", "ids", "n", "n_old", "known_keys", "known_ids")
-
-    def __init__(self, arity: int):
-        self.args = np.empty((arity, 0), dtype=np.int32)
-        self.ids = np.empty(0, dtype=np.int32)
-        self.n = self.n_old = 0
-        self.known_keys, self.known_ids = np.empty(0, dtype=np.int64), self.ids
-
-    def extend(self, keys: np.ndarray, ids: np.ndarray, args: np.ndarray) -> None:
-        """Append new facts: they are the next round's delta."""
-        self.n_old = self.n
-        self.n += len(ids)
-        self.args = np.concatenate([self.args, args], axis=1)
-        self.ids = np.concatenate([self.ids, ids])
-        keys = np.concatenate([self.known_keys, keys])
-        order = np.argsort(keys, kind="stable")
-        self.known_keys, self.known_ids = keys[order], np.concatenate([self.known_ids, ids])[order]
+def _sum(base, terms: Iterable[tuple[np.ndarray, object]], n: int, wide: bool) -> np.ndarray:
+    """``base + sum(column * weight)`` over ``n`` rows: a ``_pack`` key as its
+    mixed-radix sum.  ``base`` and each weight are one value for every row or
+    one per row; Python ints where ``wide``."""
+    key = None
+    for col, weight in terms:
+        term = (col.astype(object) if wide else col) * weight
+        if key is None:
+            key = term
+        else:
+            key += term
+    if key is None:
+        key = np.zeros(n, dtype=object if wide else np.int64)
+    key += base
+    return key
 
 
-class _Join(NamedTuple):
-    """One body literal of a join plan."""
+def _per_rule(values: list[int], wide: bool):
+    """One value for every rule where they agree, else an array by rule."""
+    if values.count(values[0]) == len(values):
+        return values[0] if wide else np.int64(values[0])
+    return np.array(values, dtype=object if wide else np.int64)
 
-    relation: str
+
+def _of(values, rule):
+    """The value of ``rule`` (an index, or one per row) in ``_per_rule``'s ``values``."""
+    return values[rule] if isinstance(values, np.ndarray) else values
+
+
+def _spread(lo: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """The index positions of row i's matches, ``lo[i]:lo[i] + counts[i]``, for every i."""
+    return np.arange(total) + (lo - counts.cumsum() + counts).repeat(counts)
+
+
+_Shape = tuple[tuple[int, ...], ...]  # per body literal, a variable's number or -1 for a constant
+
+
+class _Step(NamedTuple):
+    """One body literal of a join template."""
+
+    literal: int                        # its position in the body
     mode: int                           # _OLD, _DELTA or _ALL facts
-    positions: tuple[int, ...]          # argument positions bound on entry
-    slots: tuple[int, ...]              # the binding slots that hold their values
+    positions: tuple[int, ...]          # argument positions bound on entry, constants included
     equal: tuple[tuple[int, int], ...]  # position pairs that repeat a new variable
-    carry: tuple[int, ...]              # variable slots bound before and read later
-    new: tuple[tuple[int, int], ...]    # (position, slot) of each new variable read later
+    carry: tuple[int, ...]              # variables bound before and read later
+    new: tuple[tuple[int, int], ...]    # (position, variable) of each new variable read later
 
 
-class _Plan(NamedTuple):
-    """How to fire one rule when one of its body literals reads the delta."""
+def _template(body: _Shape, delta: int, head: frozenset[int]) -> tuple[_Step, ...]:
+    """Join ``body`` from its delta literal, then most-bound literal first.
 
-    rule: int
-    consts: tuple[int, ...]  # the first binding slots: the rule's constants
-    joins: tuple[_Join, ...]
-    head: tuple[int, ...]    # the slot of each head argument
-    body: tuple[int, ...]    # the join step of each body literal, in body order
+    Constants are bound from the start.  A variable is carried past a step
+    only while a later step or the head reads it.
+    """
+    def bound_args(i: int) -> int:
+        return sum(v < 0 or v in bound for v in body[i])
+
+    bound: set[int] = set()
+    order, rest, steps = [delta], [i for i in range(len(body)) if i != delta], []
+    while True:
+        positions, equal, new = [], [], {}
+        for p, v in enumerate(body[order[-1]]):
+            if v < 0 or v in bound:
+                positions.append(p)
+            elif v in new:
+                equal.append((new[v], p))
+            else:
+                new[v] = p
+        bound.update(new)
+        steps.append((order[-1], tuple(positions), tuple(equal), new))
+        if not rest:
+            break
+        nxt = rest[0] if len(rest) == 1 else max(
+            rest, key=lambda i: (bound_args(i) == len(body[i]), bound_args(i), -i))
+        rest.remove(nxt)
+        order.append(nxt)
+
+    live, joins = set(head), []
+    for i, positions, equal, new in reversed(steps):
+        joins.append(_Step(i, _DELTA if i == delta else _OLD if i < delta else _ALL,
+                           positions, equal, tuple(sorted(live.difference(new))),
+                           tuple((p, v) for v, p in new.items() if v in live)))
+        live = live.difference(new).union(body[i][p] for p in positions if body[i][p] >= 0)
+    return tuple(reversed(joins))
+
+
+class _Group:
+    """The rules that share one (body shape, delta literal, head variables) key.
+
+    Built on the group's first firing: the template ``steps``; ``first``, each
+    rule's probe of the delta, its relation id and constants; per later step,
+    the static key part (relation id and constants) of each rule, the
+    (variable, weight) terms of the bound variables and whether the keys are
+    Python ints; ``at``, the join step of each body literal; and the head key's
+    base and per-variable weights.  A part that every rule shares is one value.
+    """
+
+    __slots__ = ("members", "body", "delta", "head", "steps", "first", "keys", "at",
+                 "head_base", "head_terms")
+
+    def __init__(self, body: _Shape, delta: int, head: frozenset[int], members: np.ndarray):
+        self.body, self.delta, self.head = body, delta, head
+        self.members = members  # rule positions
+        self.steps: tuple[_Step, ...] = ()
 
 
 class _Kernel:
@@ -373,147 +446,197 @@ class _Kernel:
 
     def __init__(self, rules: Iterable[Rule], input: Database):
         self.rules = tuple(rules)
-        for rule in self.rules:
-            if not rule.body:
-                raise SemanticError(f"rule {rule.id}: empty body")
-            bound = {v for atom in rule.body for v in atom.variables()}
-            unbound = [v for v in rule.head.variables() if v not in bound]
-            if unbound:
-                raise SemanticError(f"rule {rule.id}: head variable {unbound[0]} not bound in body")
         atoms = [a for r in self.rules for a in (r.head, *r.body)]
-        names = sorted({f.relation for f in input.facts()} | {a.relation for a in atoms})
+        self.names = sorted({f.relation for f in input.facts()} | {a.relation for a in atoms})
+        rel_id = {name: i for i, name in enumerate(self.names)}
         self.constants = sorted({c for f in input.facts() for c in f.args}
                                 | {t.value for a in atoms for t in a.args if isinstance(t, Const)})
-        self.const_id = {c: i for i, c in enumerate(self.constants)}
-        self.radix = max(len(self.constants), 1)
+        const_id = {c: i for i, c in enumerate(self.constants)}
         arity = {name: len(tuples[0].args) for name, tuples in input.tuples.items()}
         for atom in atoms:
             arity.setdefault(atom.relation, len(atom.args))
-        self.facts = {name: _Facts(arity[name]) for name in names}
-        self.body_facts = [[self.facts[a.relation] for a in rule.body] for rule in self.rules]
-        self.uses: dict[str, list[tuple[int, int]]] = {name: [] for name in names}
+        self.arity = [arity[name] for name in self.names]
+        self.width = max(self.arity, default=1)
+        self.radix = max(len(self.constants), len(self.names), 1)
+        self.wide = self.radix ** (1 + self.width) > 2 ** 63
+        power = [self.radix ** (self.width - 1 - p) for p in range(self.width)]
+
+        # each rule's body shape, relation ids and constants, and its head key
+        # as a base plus a weight per variable; then its pairs into the groups
+        groups: dict[tuple, list[int]] = {}
+        self.rels: list[tuple[int, ...]] = []
+        self.consts: list[list[int]] = []
+        self.heads: list[tuple[int, dict[int, int]]] = []
+        head_key = self.radix ** self.width
         for r, rule in enumerate(self.rules):
-            for d, atom in enumerate(rule.body):
-                self.uses[atom.relation].append((r, d))
-        self.plans: dict[tuple[int, int], _Plan] = {}
-        self.clauses: list[list[tuple[np.ndarray, ...]]] = [[] for _ in self.rules]
+            if not rule.body:
+                raise SemanticError(f"rule {rule.id}: empty body")
+            var: dict[str, int] = {}
+            body, rels, consts = [], [], []
+            for atom in rule.body:
+                rels.append(rel_id[atom.relation])
+                literal = []
+                for t in atom.args:
+                    if isinstance(t, Const):
+                        literal.append(-1)
+                        consts.append(const_id[t.value])
+                    else:
+                        literal.append(var.setdefault(t, len(var)))
+                body.append(tuple(literal))
+            base, coef = rel_id[rule.head.relation] * head_key, {}
+            for p, t in enumerate(rule.head.args):
+                if isinstance(t, Const):
+                    base += const_id[t.value] * power[p]
+                elif t in var:
+                    coef[var[t]] = coef.get(var[t], 0) + power[p]
+                else:
+                    raise SemanticError(f"rule {rule.id}: head variable {t} not bound in body")
+            self.rels.append(tuple(rels))
+            self.consts.append(consts)
+            self.heads.append((base, coef))
+            shape, head = tuple(body), frozenset(coef)
+            for d in range(len(body)):
+                groups.setdefault((shape, d, head), []).append(r)
+
+        # the pairs, group by group: each literal's relation and the facts it
+        # must find, past the end of a body a relation that always has facts
+        length = max(map(len, self.rels), default=0)
+        pad = len(self.names)
+        rels = np.array([rel + (pad,) * (length - len(rel)) for rel in self.rels],
+                        dtype=np.intp).reshape(len(self.rels), length)
+        members = np.array([r for rules in groups.values() for r in rules], dtype=np.intp)
+        sizes = np.array([len(rules) for rules in groups.values()], dtype=np.intp)
+        starts = sizes.cumsum() - sizes
+        self.groups = [_Group(*key, members[start:start + size]) for key, start, size
+                       in zip(groups, starts.tolist(), sizes.tolist())]
+        self.pair_rel = rels[members]
+        modes = np.full((length, length), _ALL, dtype=np.intp)
+        modes[np.tril_indices(length, -1)] = _OLD
+        modes[np.diag_indices(length)] = _DELTA
+        self.pair_group = np.arange(len(sizes)).repeat(sizes)
+        self.pair_mode = modes[np.array([group.delta for group in self.groups],
+                                        dtype=np.intp)[self.pair_group]]
+        self.pair_member = (np.arange(len(members)) - starts.repeat(sizes)).astype(
+            np.min_scalar_type(max(sizes, default=1) - 1))
+
+        # the input facts are rows 0, 1, ... in Database order, and the first delta
+        self.inputs = list(input.facts())
+        self.n_input = self.n = len(self.inputs)
+        self.n_old = 0
+        self.rel = np.array([rel_id[f.relation] for f in self.inputs], dtype=np.int32)
+        self.args = np.zeros((self.width, self.n), dtype=np.int32)
+        at = 0
+        for name, tuples in input.tuples.items():
+            self.args[:arity[name], at:at + len(tuples)] = np.array(
+                [[const_id[c] for c in f.args] for f in tuples], dtype=np.int32).T
+            at += len(tuples)
+        keys = _pack([self.rel, *self.args], self.radix, self.n)
+        order = np.argsort(keys, kind="stable")
+        self.known_keys, self.known_ids = keys[order], order.astype(np.int32)
+        # facts per relation id, old and all; the pad relation always has one
+        self.count_old = np.zeros(pad + 1, dtype=np.intp)
+        self.count_old[pad] = 1
+        self.count_all = self.count_old + np.bincount(self.rel, minlength=pad + 1)
+
+        # chunks of clauses: (rule positions, rule index or one per clause,
+        # conclusions, antecedents in body order)
+        self.chunks: list[tuple] = []
         self.n_clauses = 0
         self._index: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._new: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-
-        # the input facts have ids 0, 1, ... in Database order, and are the first delta
-        self.inputs = list(input.facts())
-        self.n_facts = 0
-        for name, tuples in input.tuples.items():
-            args = np.array([[self.const_id[c] for c in f.args] for f in tuples],
-                            dtype=np.int32).reshape(len(tuples), arity[name]).T
-            ids = np.arange(self.n_facts, self.n_facts + len(tuples), dtype=np.int32)
-            self.facts[name].extend(_pack(args, self.radix, len(tuples)), ids,
-                                    np.ascontiguousarray(args))
-            self.n_facts += len(tuples)
-        self.n_input = len(self.inputs)
+        self._new: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._run()
 
     def _run(self) -> None:
-        while fresh := [name for name, facts in self.facts.items() if facts.n_old < facts.n]:
+        while self.n_old < self.n:
             self._index = {}
-            for name in fresh:
-                for r, d in self.uses[name]:
-                    body = self.body_facts[r]
-                    if all(f.n_old for f in body[:d]) and all(f.n for f in body[d + 1:]):
-                        self._fire(self._plan(r, d))
+            have = np.stack([self.count_old, self.count_all - self.count_old, self.count_all])
+            pairs = np.flatnonzero((have[self.pair_mode, self.pair_rel] > 0).all(axis=1))
+            group = self.pair_group[pairs]
+            cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(pairs)]
+            for a, b in zip(cuts, cuts[1:]) if len(pairs) else ():
+                self._fire(self.groups[group[a]], self.pair_member[pairs[a:b]])
             self._intern()
 
-    def _plan(self, r: int, delta: int) -> _Plan:
-        """Join rule ``r`` from its delta literal, then most-bound literal first.
+    def _build(self, group: _Group) -> None:
+        """The group's template and, per step and for its head, each rule's key parts."""
+        group.steps = _template(group.body, group.delta, group.head)
+        members = group.members.tolist()
+        # the constants' order in ``self.consts``: body order
+        slot = {}
+        for i, literal in enumerate(group.body):
+            for p, v in enumerate(literal):
+                if v < 0:
+                    slot[i, p] = len(slot)
+        group.keys = []
+        for step in group.steps:
+            width = 1 + len(step.positions)
+            wide = self.radix ** width > 2 ** 63
+            weight = [self.radix ** (width - 1 - c) for c in range(width)]
+            static = [self.rels[r][step.literal] * weight[0] for r in members]
+            terms = []
+            for c, p in enumerate(step.positions, 1):
+                v = group.body[step.literal][p]
+                if v >= 0:
+                    terms.append((v, weight[c] if wide else np.int64(weight[c])))
+                    continue
+                k = slot[step.literal, p]
+                for m, r in enumerate(members):
+                    static[m] += self.consts[r][k] * weight[c]
+            if step is group.steps[0]:
+                group.first = np.array(static, dtype=object if wide else np.int64)
+            else:
+                group.keys.append((_per_rule(static, wide), tuple(terms), wide))
+        group.at = tuple(map([s.literal for s in group.steps].index, range(len(group.body))))
+        group.head_base = _per_rule([self.heads[r][0] for r in members], self.wide)
+        group.head_terms = tuple((v, _per_rule([self.heads[r][1][v] for r in members],
+                                               self.wide)) for v in sorted(group.head))
 
-        Built on first firing.  Each term becomes a binding slot: the rule's
-        constants first, then its variables.  A variable is carried past a
-        step only while a later step or the head reads it.
-        """
-        plan = self.plans.get((r, delta))
-        if plan is not None:
-            return plan
-        rule = self.rules[r]
-        slot: dict = {}
-        for atom in (rule.head, *rule.body):
-            for t in atom.args:
-                if isinstance(t, Const):
-                    slot.setdefault((t.value,), len(slot))
-        consts = tuple(self.const_id[c] for c, in slot)
-        head, *body = (tuple(slot.setdefault(t if isinstance(t, str) else (t.value,), len(slot))
-                             for t in atom.args) for atom in (rule.head, *rule.body))
-
-        bound = set(range(len(consts)))
-        order = [delta]
-        rest = [i for i in range(len(body)) if i != delta]
-        steps = []
-        while True:
-            positions, slots, equal, new = [], [], [], {}
-            for p, s in enumerate(body[order[-1]]):
-                if s in bound:
-                    positions.append(p)
-                    slots.append(s)
-                elif s in new:
-                    equal.append((new[s], p))
-                else:
-                    new[s] = p
-            bound.update(new)
-            steps.append((order[-1], tuple(positions), tuple(slots), tuple(equal), new))
-            if not rest:
-                break
-            nxt = rest[0] if len(rest) == 1 else max(
-                rest, key=lambda i: (bound.issuperset(body[i]), sum(s in bound for s in body[i]), -i))
-            rest.remove(nxt)
-            order.append(nxt)
-
-        live, joins = set(head), []
-        for i, positions, slots, equal, new in reversed(steps):
-            joins.append(_Join(
-                rule.body[i].relation, _DELTA if i == delta else _OLD if i < delta else _ALL,
-                positions, slots, equal,
-                tuple(s for s in live if s >= len(consts) and s not in new),
-                tuple((p, s) for s, p in new.items() if s in live)))
-            live = live.difference(new).union(slots)
-        plan = self.plans[r, delta] = _Plan(r, consts, tuple(reversed(joins)), head,
-                                            tuple(map(order.index, range(len(order)))))
-        return plan
-
-    def _lookup(self, join: _Join) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted keys at ``join.positions`` of the facts ``join`` reads, and
-        their rows in the relation; built on first use in a round."""
-        index = (join.relation, join.mode, join.positions, join.equal)
+    def _lookup(self, step: _Step) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted keys, relation id then the arguments at ``step.positions``,
+        of the facts ``step`` reads, and their rows; built on first use in a round."""
+        index = (step.mode, step.positions, step.equal)
         entry = self._index.get(index)
         if entry is None:
-            facts = self.facts[join.relation]
-            lo = facts.n_old if join.mode == _DELTA else 0
-            hi = facts.n_old if join.mode == _OLD else facts.n
+            lo = self.n_old if step.mode == _DELTA else 0
+            hi = self.n_old if step.mode == _OLD else self.n
             rows = np.arange(lo, hi)
-            for p, q in join.equal:
-                rows = rows[facts.args[p, rows] == facts.args[q, rows]]
-            keys = _pack([facts.args[p, rows] for p in join.positions], self.radix, len(rows))
+            for p, q in step.equal:
+                rows = rows[self.args[p, rows] == self.args[q, rows]]
+            keys = _pack([self.rel[rows], *(self.args[p, rows] for p in step.positions)],
+                         self.radix, len(rows))
             order = np.argsort(keys, kind="stable")
             entry = self._index[index] = (keys[order], rows[order])
         return entry
 
-    def _fire(self, plan: _Plan) -> None:
-        consts = dict(enumerate(plan.consts))
-        # the delta literal comes first, and only the rule's constants are bound
-        first = plan.joins[0]
-        facts = self.facts[first.relation]
+    def _fire(self, group: _Group, live: np.ndarray) -> None:
+        """Join the rules ``live`` of ``group`` (indices among its members) once."""
+        if not group.steps:
+            self._build(group)
+        first, *steps = group.steps
+        # the delta literal comes first: one probe per rule, its relation and constants
         keys, rows = self._lookup(first)
-        if first.slots:
-            key = _pack([consts[s] for s in first.slots], self.radix, 1)[0]
-            rows = rows[keys.searchsorted(key):keys.searchsorted(key, "right")]
-        if not len(rows):
+        probe = group.first[live]
+        lo = keys.searchsorted(probe)
+        counts = keys.searchsorted(probe, "right") - lo
+        total = int(counts.sum())
+        if total > CLAUSE_BUDGET:
+            raise GroundingBudgetError(total, CLAUSE_BUDGET)
+        if not total:
             return
-        binding = {**consts, **{s: facts.args[p][rows] for p, s in first.new}}
-        ants = [facts.ids[rows]]  # fact ids, one column per join step
-        n = len(rows)
-        for join in plan.joins[1:]:
-            facts = self.facts[join.relation]
-            keys, rows = self._lookup(join)
-            probe = _pack([binding[s] for s in join.slots], self.radix, n)
+        hit = counts.nonzero()[0] if len(live) > 1 else (0,)
+        if len(hit) == 1:  # one rule: its matches are one slice, and rule is a scalar
+            rule = int(live[hit[0]])
+            start = int(lo[hit[0]])
+            rows = rows[start:start + total]
+        else:
+            rule = live.repeat(counts)
+            rows = rows[_spread(lo, counts, total)]
+        binding = {v: self.args[p][rows] for p, v in first.new}
+        ants = [rows.astype(np.int32)]  # fact ids, one column per join step
+        n = total
+        for step, (static, terms, wide) in zip(steps, group.keys):
+            keys, rows = self._lookup(step)
+            probe = _sum(_of(static, rule), [(binding[v], w) for v, w in terms], n, wide)
             lo = keys.searchsorted(probe)
             counts = keys.searchsorted(probe, "right") - lo
             total = int(counts.sum())
@@ -521,28 +644,30 @@ class _Kernel:
                 raise GroundingBudgetError(total, CLAUSE_BUDGET)
             if not total:
                 return
-            # binding i matches rows[lo[i]:lo[i] + counts[i]]
+            # row i matches rows[lo[i]:lo[i] + counts[i]]
             take = np.arange(n).repeat(counts)
-            rows = rows[np.arange(total) + (lo - counts.cumsum() + counts).repeat(counts)]
-            binding = {**consts, **{s: binding[s][take] for s in join.carry},
-                       **{s: facts.args[p][rows] for p, s in join.new}}
+            rows = rows[_spread(lo, counts, total)]
+            binding = {**{v: binding[v][take] for v in step.carry},
+                       **{v: self.args[p][rows] for p, v in step.new}}
             ants = [a[take] for a in ants]
-            ants.append(facts.ids[rows])
+            ants.append(rows.astype(np.int32))
+            if isinstance(rule, np.ndarray):
+                rule = rule[take]
             n = total
 
-        relation = self.rules[plan.rule].head.relation
-        head = self.facts[relation]
-        key = _pack([binding[s] for s in plan.head], self.radix, n)
-        concl = np.full(n, -1, dtype=np.int32)  # -1 until a new conclusion gets its id
-        if head.n:
-            at = head.known_keys.searchsorted(key)
-            np.minimum(at, head.n - 1, out=at)
-            concl = np.where(head.known_keys[at] == key, head.known_ids[at], concl)
+        key = _sum(_of(group.head_base, rule),
+                   [(binding[v], _of(weight, rule)) for v, weight in group.head_terms], n, self.wide)
+        at = self.known_keys.searchsorted(key)
+        np.minimum(at, self.n - 1, out=at)
+        # -1 until a new conclusion gets its id
+        concl = np.where(self.known_keys[at] == key, self.known_ids[at], np.int32(-1))
         keep = ants[0] != concl
         for a in ants[1:]:
             keep &= a != concl
         if not keep.all():
             concl, key, ants = concl[keep], key[keep], [a[keep] for a in ants]
+            if isinstance(rule, np.ndarray):
+                rule = rule[keep]
             if not len(concl):
                 return
         self.n_clauses += len(concl)
@@ -550,58 +675,63 @@ class _Kernel:
             raise GroundingBudgetError(self.n_clauses, CLAUSE_BUDGET)
         miss = (concl < 0).nonzero()[0]
         if len(miss):
-            self._new.setdefault(relation, []).append((concl, miss, key[miss]))
-        self.clauses[plan.rule].append((concl, *(ants[j] for j in plan.body)))
+            self._new.append((concl, miss, key[miss]))
+        self.chunks.append((group.members, rule, concl, [ants[j] for j in group.at]))
 
     def _intern(self) -> None:
         """Give the round's new conclusions fact ids, one per unique key; they are
         the next round's delta."""
-        for name, facts in self.facts.items():
-            pending = self._new.pop(name, None)
-            if pending is None:
-                facts.n_old = facts.n
-                continue
-            # the unique keys and each key's index among them, by one stable sort
-            # (np.unique's inverse path maps about 0.6 MB more of numpy's sort code)
-            keys = np.concatenate([k for _, _, k in pending])
-            order = keys.argsort(kind="stable")
-            keys = keys[order]
-            first = np.append(True, keys[1:] != keys[:-1])
-            inverse = np.empty(len(keys), dtype=np.intp)
-            inverse[order] = first.cumsum() - 1
-            keys = keys[first]
-            ids = np.arange(self.n_facts, self.n_facts + len(keys), dtype=np.int32)
-            self.n_facts += len(keys)
-            at = 0
-            for concl, miss, k in pending:
-                concl[miss] = ids[inverse[at:at + len(k)]]
-                at += len(k)
-            facts.extend(keys, ids, _unpack(keys, self.radix, len(facts.args)))
+        pending, self._new = self._new, []
+        self.n_old, self.count_old = self.n, self.count_all
+        if not pending:
+            return
+        # the unique keys and each key's index among them, by one stable sort
+        # (np.unique's inverse path maps about 0.6 MB more of numpy's sort code)
+        keys = np.concatenate([k for _, _, k in pending])
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        first = np.append(True, keys[1:] != keys[:-1])
+        inverse = np.empty(len(keys), dtype=np.intp)
+        inverse[order] = first.cumsum() - 1
+        keys = keys[first]
+        ids = np.arange(self.n, self.n + len(keys), dtype=np.int32)
+        at = 0
+        for concl, miss, k in pending:
+            concl[miss] = ids[inverse[at:at + len(k)]]
+            at += len(k)
+        rows = _unpack(keys, self.radix, 1 + self.width)
+        self.rel = np.concatenate([self.rel, rows[0]])
+        self.args = np.concatenate([self.args, rows[1:]], axis=1)
+        self.n += len(keys)
+        self.count_all = self.count_all + np.bincount(rows[0], minlength=len(self.count_all))
+        keys = np.concatenate([self.known_keys, keys])
+        order = np.argsort(keys, kind="stable")
+        self.known_keys, self.known_ids = keys[order], np.concatenate([self.known_ids, ids])[order]
+
+    def _fact(self, row: int, rel: int, args: list[int]) -> Fact:
+        """The fact of table row ``row``; an input fact is the input's own object."""
+        if row < self.n_input:
+            return self.inputs[row]
+        return Fact(self.names[rel], tuple(self.constants[c] for c in args[:self.arity[rel]]))
 
     def _sorted_facts(self) -> tuple[list[Fact], np.ndarray]:
-        """Every fact, sorted, and the position of each fact id among them; the
-        input facts are the input's own objects."""
-        facts: list[Fact] = []
-        position = np.empty(self.n_facts, dtype=np.int64)
-        for name, rel in self.facts.items():
-            if rel.n:
-                position[rel.known_ids] = np.arange(len(facts), len(facts) + rel.n)
-                args = _unpack(rel.known_keys, self.radix, len(rel.args)).T.tolist()
-                facts.extend(self.inputs[fid] if fid < self.n_input
-                             else Fact(name, tuple(self.constants[c] for c in row))
-                             for fid, row in zip(rel.known_ids.tolist(), args))
+        """Every fact, sorted, and the position of each fact id among them."""
+        ids = self.known_ids
+        position = np.empty(self.n, dtype=np.int64)
+        position[ids] = np.arange(self.n)
+        facts = [self._fact(*row) for row in zip(ids.tolist(), self.rel[ids].tolist(),
+                                                  self.args[:, ids].T.tolist())]
         return facts, position
 
     def derived(self) -> list[Fact]:
         """The derived facts that are not input facts."""
-        return [Fact(name, tuple(self.constants[c] for c in row))
-                for name, rel in self.facts.items()
-                for row in rel.args[:, rel.ids >= self.n_input].T.tolist()]
+        return [self._fact(*row) for row in zip(range(self.n_input, self.n),
+                                                self.rel[self.n_input:].tolist(),
+                                                self.args[:, self.n_input:].T.tolist())]
 
     def grounding(self) -> "Grounding":
         facts, position = self._sorted_facts()
-        rules = [r for r in range(len(self.rules)) if self.clauses[r]]
-        width = max((len(self.rules[r].body) for r in rules), default=0)
+        width = max((len(ants) for *_, ants in self.chunks), default=0)
         by_rank = sorted(range(len(self.rules)), key=lambda r: self.rules[r].id)
         rank = np.empty(len(self.rules), dtype=np.int64)
         rank[by_rank] = np.arange(len(self.rules))
@@ -625,17 +755,16 @@ class _Kernel:
                 place[i] = (w, shift)
                 shift += sizes[i]
 
-        n = sum(len(chunk[0]) for r in rules for chunk in self.clauses[r])
+        n = sum(len(concl) for _, _, concl, _ in self.chunks)
         words = [np.zeros(n, dtype=np.int64) for _ in groups]
         at = 0
-        for r in rules:
-            for concl, *ants in self.clauses[r]:
-                for i, value in enumerate((position[concl], rank[r],
-                                           *(position[a] + 1 for a in ants))):
-                    w, shift = place[i]
-                    words[w][at:at + len(concl)] |= value << shift
-                at += len(concl)
-            self.clauses[r] = []
+        while self.chunks:
+            members, rule, concl, ants = self.chunks.pop()
+            for i, value in enumerate((position[concl], rank[members][rule],
+                                       *(position[a] + 1 for a in ants))):
+                w, shift = place[i]
+                words[w][at:at + len(concl)] |= value << shift
+            at += len(concl)
         if len(words) == 1:
             words[0].sort()
         else:
@@ -715,26 +844,27 @@ def check_solution(rules: Iterable[Rule], input: Database, labels: LabelSet) -> 
 # Text formats
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""[ \t]*(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)
-                                  |(?P<str>"[^"]*")
-                                  |(?P<sym>:-|[(),.:]))""", re.VERBOSE)
+_TOKEN_RE = re.compile(r"""(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+                           |(?P<sym>:-|[(),.:])
+                           |(?P<str>"[^"]*")
+                           |(?P<space>[ \t]+)
+                           |(?P<comment>\#.*)
+                           |(?P<bad>.)""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize_rule_line(text: str, path, lineno: int) -> list[tuple[str, str, int]]:
-    """The tokens of one line; a ``#`` outside a quoted constant starts a comment."""
+    """The tokens of one line, by one scan; a ``#`` outside a quoted constant
+    starts a comment."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] in " \t":
-            pos += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if text[pos] == "#":
+        if kind == "comment":
             break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.start(m.lastgroup) != pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", path, lineno, pos + 1)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), pos + 1))
-        pos = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", path, lineno, m.start() + 1)
+        tokens.append((kind, m.group(), m.start() + 1))
     return tokens
 
 

@@ -109,6 +109,10 @@ class Evaluator:
     antecedents are all input or pad rows, kept in the same order.  This is
     exact: in round 1 only those rows are nonzero, so every other clause is
     0 and can neither raise a head nor attain a raised head's maximum.
+
+    The evaluator owns its clause-sized scratch, the gathered weights, the
+    products and one antecedent column, and every evaluation reuses it, so a
+    call maps no new pages.  One evaluator runs one evaluation at a time.
     """
 
     def __init__(self, rules: CandidateRuleSet | Iterable[Rule], input: Database,
@@ -140,6 +144,8 @@ class Evaluator:
         known[self._input_idx] = known[-1] = True
         first = known[cols].all(axis=0)
         self._first_round = _Clauses.of(concl[first], rule[first], cols[:, first], n_facts)
+        # weights, products, antecedent: the first round uses a prefix of each
+        self._scratch = np.empty((3, len(concl)))
         self._row = {f: i for i, f in enumerate(self._facts)}
         self._labels: dict[LabelSet, tuple[list[Fact], np.ndarray, int]] = {}
 
@@ -217,11 +223,12 @@ class Evaluator:
         u = np.zeros(len(self._facts) + 2)
         u[self._input_idx] = u[-1] = 1.0
         counts = np.zeros((len(u), len(self.fired)), dtype=np.int64)
-        # round 1 reads only the input and pad rows, so it runs over the input-only clauses
-        first, every = ((c, wf[c.rule], np.empty(len(c.rule)), np.empty(len(c.rule)))
-                        for c in (self._first_round, self._clauses))
         for rounds in itertools.count(1):
-            c, weights, vals, antecedent = first if rounds == 1 else every
+            # round 1 reads only the input and pad rows, so it runs over the input-only clauses
+            c = self._first_round if rounds == 1 else self._clauses
+            weights, vals, antecedent = self._scratch[:, :len(c.rule)]
+            if rounds <= 2:
+                np.take(wf, c.rule, out=weights)
             # ((w * u0) * u1) * u2: weight first, antecedents left to right, pads last
             np.multiply(weights, np.take(u, c.cols[0], out=antecedent, mode="wrap"), out=vals)
             for col in c.cols[1:]:

@@ -5,7 +5,8 @@ import random
 import numpy as np
 from hypothesis import settings, strategies as st
 
-from difflog.core import Atom, CandidateRuleSet, Const, Problem, Rule
+from difflog.core import (INPUT, OUTPUT, Atom, CandidateRuleSet, Const, Database,
+                          Fact, LabelSet, Problem, RelationDecl, Rule, validate_rule)
 from difflog.testkit import random_instance
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -39,6 +40,53 @@ def instances(draw) -> Problem:
     if draw(st.booleans()):
         problem = with_constants(problem, rng)
     return problem
+
+
+@st.composite
+def shared_shapes(draw) -> Problem:
+    """A pool of a few body shapes, each with several rules that differ in
+    their relation names, body and head constants and head projection, with
+    repeated head variables, over relations of arity 1-3.  The rules of one
+    shape read the same head variables, so they ground as one join."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    constants = [f"k{i}" for i in range(rng.randint(1, 3))]
+    decls = {f"{kind[0]}{arity}{s}": RelationDecl(f"{kind[0]}{arity}{s}", arity, kind)
+             for kind in (INPUT, OUTPUT) for arity in (1, 2, 3) for s in "ab"}
+    inputs = [d for d in decls.values() if d.kind == INPUT]
+    outputs = [d for d in decls.values() if d.kind == OUTPUT]
+    facts = []
+    for _ in range(rng.randint(0, 20)):
+        decl = rng.choice(inputs)
+        facts.append(Fact(decl.name, tuple(rng.choice(constants) for _ in range(decl.arity))))
+
+    def constant() -> Const:
+        return Const(rng.choice(constants + ["zz"]))  # "zz" is in no fact
+
+    rules = []
+    for shape in range(rng.randint(1, 3)):
+        n_vars = rng.randint(1, 3)
+        body = [[-1 if rng.random() < 0.2 else rng.randrange(n_vars)
+                 for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 3))]
+        used = sorted({v for literal in body for v in literal if v >= 0})
+        head = rng.sample(used, rng.randint(0, len(used)))
+        for k in range(rng.randint(2, 5)):
+            # mostly input relations, so that several rules of a group find facts
+            atoms = tuple(Atom(rng.choice([d for d in (inputs if rng.random() < 0.7 else outputs)
+                                           if d.arity == len(literal)]).name,
+                               tuple(constant() if v < 0 else f"x{v}" for v in literal))
+                          for literal in body)
+            # every head variable once, then repeats or constants, up to arity 1-3
+            terms = [f"x{v}" for v in head]
+            for _ in range(rng.randint(max(len(terms), 1), 3) - len(terms)):
+                terms.append(rng.choice(terms) if terms and rng.random() < 0.7 else constant())
+            rng.shuffle(terms)
+            head_decl = rng.choice([d for d in outputs if d.arity == len(terms)])
+            rules.append(Rule(f"s{shape}r{k}", Atom(head_decl.name, tuple(terms)), atoms))
+    rng.shuffle(rules)
+    for rule in rules:
+        validate_rule(rule, decls)
+    return Problem(decls, Database(facts), LabelSet(frozenset(), frozenset()),
+                   CandidateRuleSet(rules))
 
 
 def body_groups(cols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

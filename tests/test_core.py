@@ -1,10 +1,13 @@
 """Data model, parsing, grounding, and Boolean fixpoint tests."""
 
+import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from difflog import core
 from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
                           LabelSet, ParseError, Rule, SemanticError,
                           boolean_fixpoint, check_solution, format_rule,
@@ -169,6 +172,62 @@ def test_parse_rule_syntax_errors():
         parse_rule_line("samegen(x,y) :- parent(x y).", "r1")
     with pytest.raises(ParseError):
         parse_rule_line("samegen(x,y) :- parent(x,y). extra", "r1")
+
+
+_CHAR_TOKEN_RE = re.compile(r"""[ \t]*(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+                                       |(?P<str>"[^"]*")
+                                       |(?P<sym>:-|[(),.:]))""", re.VERBOSE)
+
+
+def char_scan_tokens(text: str, path, lineno: int) -> list[tuple[str, str, int]]:
+    """The per-character tokenizer that the one-scan ``_tokenize_rule_line`` replaced."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos] in " \t":
+            pos += 1
+            continue
+        if text[pos] == "#":
+            break
+        m = _CHAR_TOKEN_RE.match(text, pos)
+        if m is None or m.start(m.lastgroup) != pos:
+            raise ParseError(f"unexpected character {text[pos]!r}", path, lineno, pos + 1)
+        tokens.append((m.lastgroup, m.group(m.lastgroup), pos + 1))
+        pos = m.end()
+    return tokens
+
+
+def scan(tokenize, text: str):
+    """The tokens, or the error message and column."""
+    try:
+        return tokenize(text, "rules.dl", 7)
+    except ParseError as exc:
+        return str(exc), exc.column
+
+
+@pytest.mark.parametrize("name", ["samegen", "andersen"])
+def test_tokenizer_matches_per_character_scan_on_golden_rules(name):
+    path = Path(__file__).resolve().parents[1] / "problems" / name / "rules.dl"
+    lines = path.read_text().splitlines()
+    assert len(lines) > 100
+    for line in lines:
+        assert core._tokenize_rule_line(line, path, 1) == char_scan_tokens(line, path, 1)
+
+
+@pytest.mark.parametrize("text", [
+    "", "   \t ", "# only a comment", 'q(x) :- p(x, "a # b"). # tail',
+    "\tr1:\tq(x)  :-p(x),p(y).", 'q(x) :- p(x, "open', "q(x) :- p(x) ; p(y).",
+    "q(x) :- p(x\u00a0y).", "q(x) :- p(x).\nq(y)", "q(x) :- p(x). #\n!", "  !", "q-1",
+])
+def test_tokenizer_matches_per_character_scan_on_edge_lines(text):
+    assert scan(core._tokenize_rule_line, text) == scan(char_scan_tokens, text)
+
+
+def test_parse_error_names_the_bad_character_and_its_column():
+    with pytest.raises(ParseError) as info:
+        parse_rules("r1: q(x) :- p(x).\n  q(x) :- p(x) ; p(y).\n", "rules.dl")
+    assert str(info.value) == "rules.dl:2:16: unexpected character ';'"
+    assert (info.value.line, info.value.column) == (2, 16)
 
 
 def test_parse_rules_skips_comments_and_blanks():

@@ -15,7 +15,7 @@ import random
 import numpy as np
 from hypothesis import given, strategies as st
 
-from difflog.core import Atom, Database, Fact, Rule, ground
+from difflog.core import Atom, Database, Fact, LabelSet, Rule, ground
 from difflog.testkit import ground_clauses
 from difflog.viterbi import Evaluator
 from strategies import SETTINGS, body_groups, instances
@@ -73,6 +73,7 @@ def reference_evaluate(grounding, wv: np.ndarray):
 def assert_matches_reference(rules, input: Database, weights) -> Evaluator:
     ev = Evaluator(rules, input)
     grounding = ground(ev.rules, input)
+    results = []
     for wv in weights:
         result = ev.evaluate(wv)
         values, counts, rounds = reference_evaluate(grounding, np.asarray(wv, dtype=np.float64))
@@ -82,6 +83,12 @@ def assert_matches_reference(rules, input: Database, weights) -> Evaluator:
         assert np.array_equal(result.counts, counts[:, ev.fired])
         assert not np.delete(counts, ev.fired, axis=1).any()
         assert result.rounds == rounds
+        results.append((result, values, counts[:, ev.fired]))
+    # later calls reuse the evaluator's scratch, never an earlier result's arrays
+    ev.check(ev.rule_ids[:1], LabelSet(frozenset(), frozenset()))
+    for result, values, counts in results:
+        assert result.values.tobytes() == values.tobytes()
+        assert np.array_equal(result.counts, counts)
     return ev
 
 

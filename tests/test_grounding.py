@@ -28,7 +28,7 @@ from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
 from difflog.testkit import (ground_clauses, naive_fixpoint, naive_ground,
                              random_weights)
 from difflog.viterbi import Evaluator
-from strategies import SETTINGS, body_groups, instances
+from strategies import SETTINGS, body_groups, instances, shared_shapes
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -205,6 +205,21 @@ def test_pruned_evaluator_matches_unpruned_reference(problem, rng):
                           oracle_arrays(problem.rules, problem.input), weights)
 
 
+@SETTINGS
+@given(shared_shapes(), st.randoms(use_true_random=False))
+def test_rules_of_one_body_shape_ground_like_the_naive_oracle(problem, rng):
+    """The kernel fires the rules of one body shape as one join; the arrays,
+    values, provenance and rounds still equal the naive oracle's."""
+    ids = problem.rules.ids()
+    assert boolean_fixpoint(problem.rules, problem.input) == \
+        naive_fixpoint(problem.rules, problem.input)
+    weights = [random_weights(rng, problem.rules),
+               {rid: rng.choice((0.0, 0.5, 1.0)) for rid in ids},
+               dict.fromkeys(ids, 1.0)]
+    assert_matches_oracle(problem.rules, problem.input,
+                          oracle_arrays(problem.rules, problem.input), weights)
+
+
 def test_head_constant_absent_from_input():
     decls = {"p": RelationDecl("p", 1, "input"), "q": RelationDecl("q", 2, "output")}
     input_db = Database([Fact("p", ("a",)), Fact("p", ("b",))])
@@ -323,6 +338,54 @@ def test_keys_past_int64_stay_exact():
     assert_matches_oracle(rules, input_db, oracle, [dict.fromkeys(rules.ids(), 0.5)])
 
 
+def test_relation_column_keeps_keys_exact_past_int64():
+    """234 constants: a key of an arity-8 fact fits in int64 (234**8 < 2**63),
+    but with the relation id in front it does not (234**9 > 2**63), and the
+    keys of relations ``o3`` and ``o8`` (ids 2 and 3) pass 2**63.  An ``o8``
+    fact whose key is exactly 2**64 past an ``e8`` fact's would collide with
+    it if keys wrapped, and the ternary ``o3`` facts would sort before the
+    input facts."""
+    width, radix = 8, 234
+    assert radix ** width < 2 ** 63 < radix ** (width + 1)
+
+    def key(digits) -> int:
+        return sum(d * radix ** (width - p) for p, d in enumerate(digits))
+
+    def digits(k: int) -> tuple[int, ...]:
+        return tuple(k // radix ** (width - p) % radix for p in range(width + 1))
+
+    def names(row) -> tuple[str, ...]:
+        return tuple(f"c{d:03d}" for d in row)
+
+    # relation ids in sorted name order: e3 0, e8 1, o3 2, o8 3
+    low = (1, 0, 0, 0, 0, 0, 0, 1, 2)             # e8(c000, ..., c001, c002)
+    high = digits(key(low) + 2 ** 64)
+    assert high[0] == 3                          # the key of o8(high[1:])
+    e8 = [low[1:], high[1:]] + [tuple((8 * i + p) % radix for p in range(width))
+                                for i in range(30)]
+    e3 = [(0, 1, 2), (2, 1, 0), (233, 232, 231), (1, 2, 233)]
+    input_db = Database([*(Fact("e8", names(row)) for row in e8),
+                         *(Fact("e3", names(row)) for row in e3)])
+    assert len({c for f in input_db.facts() for c in f.args}) == radix
+    decls = {"e3": RelationDecl("e3", 3, "input"), "e8": RelationDecl("e8", width, "input"),
+             "o3": RelationDecl("o3", 3, "output"), "o8": RelationDecl("o8", width, "output")}
+    v = ("a", "b", "c", "d", "e", "f", "g", "h")
+    rules = CandidateRuleSet([
+        Rule("k1", Atom("o8", v), (Atom("e8", v),)),
+        Rule("k2", Atom("o3", v[:3]), (Atom("e3", v[:3]),)),
+        Rule("k3", Atom("o3", (v[2], v[0], v[1])), (Atom("o3", v[:3]),)),
+        Rule("k4", Atom("o3", v[5:]), (Atom("o8", v), Atom("e3", v[:3]))),
+        Rule("k5", Atom("o3", (v[1], v[1], v[2])), (Atom("o3", v[:3]), Atom("e3", v[:3]))),
+    ])
+    for rule in rules:
+        validate_rule(rule, decls)
+    fixpoint = boolean_fixpoint(rules, input_db)
+    assert fixpoint == naive_fixpoint(rules, input_db)
+    assert Fact("o8", names(high[1:])) in fixpoint
+    oracle = oracle_arrays(rules, input_db)
+    assert_matches_oracle(rules, input_db, oracle, [dict.fromkeys(rules.ids(), 0.5)])
+
+
 def test_clause_order_past_one_int64_word():
     """Over 4,096 facts a position takes 13 bits, so a conclusion, five
     antecedents and a rule rank take more than 63: the clause sort spans words."""
@@ -372,3 +435,27 @@ def test_ground_stops_at_the_clause_budget(monkeypatch):
     with pytest.raises(GroundingBudgetError):
         boolean_fixpoint(problem.rules, problem.input)
 
+
+
+def test_budget_counts_the_rows_of_a_group_step_together(monkeypatch):
+    """Four rules of one body shape join as one step of 4 x 300 rows, which a
+    last literal then cuts to 4 x 10 clauses.  Over a budget of 1,000 the
+    group stops before that step's rows exist, at their total, while each
+    rule alone grounds under the same budget."""
+    input_db = Database([*(Fact("e", (f"a{i}", "m")) for i in range(10)),
+                         *(Fact("f", ("m", f"b{j:02d}")) for j in range(30)),
+                         Fact("g", ("b00",))])
+    rules = CandidateRuleSet(
+        Rule(f"g{k}", Atom(f"o{k}", ("x", "z")),
+             (Atom("e", ("x", "y")), Atom("f", ("y", "z")), Atom("g", ("z",))))
+        for k in range(4))
+    monkeypatch.setattr(core, "CLAUSE_BUDGET", 1000)
+    with pytest.raises(GroundingBudgetError) as info:
+        ground(rules, input_db)
+    assert info.value.count == 4 * 300
+    for rule in rules:
+        grounding = ground([rule], input_db)
+        assert len(grounding) == 10
+        assert triples(ground_clauses(grounding)) == \
+            triples(oracle_arrays(CandidateRuleSet([rule]), input_db)["kept"])
+    assert len(ground(list(rules)[:3], input_db)) == 30
