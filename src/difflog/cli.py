@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
-from .core import (CandidateRuleSet, ProblemError, parse_problem, parse_relations,
-                   parse_rules, read_text, validate_rule, write_problem, write_rules)
+from .core import (ProblemError, parse_problem, parse_relations, read_text, write_problem,
+                   write_rules)
 from .optimizer import SearchConfig, SearchOutcome, SearchRunner
 from .rulegen import GenConfig, generate
 from .testkit import encode_3cnf, parse_dimacs
@@ -85,19 +85,9 @@ def write_report(handle: TextIO, base_seed: int, outcomes: list[SearchOutcome]) 
     handle.write("\n".join(lines) + "\n")
 
 
-def _load_problem(directory: str, rules_override: str | None):
-    problem = parse_problem(directory)
-    if rules_override:
-        rules = parse_rules(read_text(rules_override), rules_override)
-        for rule in rules:
-            validate_rule(rule, problem.relations)
-        problem = problem._replace(rules=CandidateRuleSet(rules))
-    return problem
-
-
 def cmd_synth(args) -> int:
     out_dir = Path(args.out) if args.out else Path(args.problem)
-    problem = _load_problem(args.problem, args.rules)
+    problem = parse_problem(args.problem, args.rules)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # an output that cannot be written fails here, before the search
@@ -144,7 +134,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    problem = _load_problem(args.problem, args.rules)
+    problem = parse_problem(args.problem, args.rules)
     weights = {rid: 1.0 for rid in problem.rules.ids()}
     if args.weights:
         for lineno, raw in enumerate(read_text(args.weights).splitlines(), 1):

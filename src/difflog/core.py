@@ -94,9 +94,6 @@ class Const:
         return f'"{self.value}"'
 
 
-Term = "str | Const"  # variables are bare strings
-
-
 @dataclass(frozen=True)
 class Atom:
     relation: str
@@ -844,102 +841,97 @@ def check_solution(rules: Iterable[Rule], input: Database, labels: LabelSet) -> 
 # Text formats
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""(?P<id>[A-Za-z_][A-Za-z0-9_]*)
-                           |(?P<sym>:-|[(),.:])
-                           |(?P<str>"[^"]*")
-                           |(?P<space>[ \t]+)
-                           |(?P<comment>\#.*)
-                           |(?P<bad>.)""", re.VERBOSE | re.DOTALL)
+# A rules.dl line is blank, a comment, or one rule:
+#   rule := [name ":"] atom ":-" atom {"," atom} "."
+#   atom := name "(" arg {"," arg} ")"
+#   arg  := name | '"' {any character but '"'} '"'
+#   name := [A-Za-z_][A-Za-z0-9_]*
+# Spaces and tabs may stand between any two tokens.  An argument name that
+# starts with a lowercase letter or "_" is a variable; any other name, and a
+# quoted string, is a constant.  A "#" outside a quoted constant starts a
+# comment that runs to the end of the line.  A rule without a name is
+# r<line number>.
+
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_ARG = rf'(?:{_ID}|"[^"]*")'
+_NAME_RE = re.compile(rf"[ \t]*({_ID})[ \t]*:(?!-)")
+# The longest valid prefix of an atom: a match that does not reach ``)``
+# ends where the grammar rejects the line.  The separator is matched before
+# each further argument, so ``p(x,)`` ends after the ``,``.
+_ATOM_RE = re.compile(
+    rf"[ \t]*({_ID})(?:[ \t]*\((?:[ \t]*{_ARG}[ \t]*,)*(?:[ \t]*{_ARG}(?P<close>[ \t]*\))?)?)?")
+_ARGS_RE = re.compile(rf'({_ID})|"([^"]*)"')
+_SEP_RE = re.compile(r"[ \t]*(:-|[,.])")
+_END_RE = re.compile(r"[ \t]*(?:#.*)?\Z", re.DOTALL)
+# From a position the grammar rejects: the next token, then the tokens up to
+# a ``#`` comment or the end of the line.  If neither ends the match, the
+# character it stopped at is one that no token can start.
+_REST_RE = re.compile(
+    rf'[ \t]*(?P<token>{_ID}|:-|[(),.:]|"[^"]*")?(?:{_ID}|:-|[(),.: \t]|"[^"]*")*(?P<end>#|\Z)?',
+    re.DOTALL)
 
 
-def _tokenize_rule_line(text: str, path, lineno: int) -> list[tuple[str, str, int]]:
-    """The tokens of one line, by one scan; a ``#`` outside a quoted constant
-    starts a comment."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        if kind == "comment":
-            break
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", path, lineno, m.start() + 1)
-        tokens.append((kind, m.group(), m.start() + 1))
-    return tokens
+def _error(text: str, pos: int, expected: str, path, lineno: int) -> ParseError:
+    """The error for a line that the grammar rejects at ``pos``, where it
+    expected an "argument", a "token" or the "end" of the line.  A character
+    that no token can start is reported first, wherever it is after ``pos``."""
+    m = _REST_RE.match(text, pos)
+    if m["end"] is None:
+        return ParseError(f"unexpected character {text[m.end()]!r}", path, lineno, m.end() + 1)
+    token = m["token"]
+    column = m.start("token") + 1 if token is not None else None
+    if expected == "argument":
+        return ParseError(f"expected argument, got {token!r}", path, lineno, column)
+    if expected == "end":
+        return ParseError("trailing tokens after rule", path, lineno, column)
+    if token is None:
+        return ParseError("unexpected end of rule", path, lineno)
+    return ParseError(f"unexpected token {token!r}", path, lineno, column)
 
 
-class _RuleParser:
-    def __init__(self, tokens, path, lineno):
-        self.tokens = tokens
-        self.path = path
-        self.lineno = lineno
-        self.i = 0
-
-    def peek(self, offset=0):
-        j = self.i + offset
-        return self.tokens[j] if j < len(self.tokens) else (None, None, None)
-
-    def take(self, kind=None, value=None):
-        k, v, col = self.peek()
-        if k is None:
-            raise ParseError("unexpected end of rule", self.path, self.lineno)
-        if (kind is not None and k != kind) or (value is not None and v != value):
-            raise ParseError(f"unexpected token {v!r}", self.path, self.lineno, col)
-        self.i += 1
-        return v
-
-    def atom(self) -> Atom:
-        name = self.take("id")
-        self.take("sym", "(")
-        args: list = []
-        while True:
-            k, v, col = self.peek()
-            if k == "id":
-                self.take()
-                # lowercase/underscore-initial tokens are variables; others constants
-                args.append(v if v[0].islower() or v[0] == "_" else Const(v))
-            elif k == "str":
-                self.take()
-                args.append(Const(v[1:-1]))
-            else:
-                raise ParseError(f"expected argument, got {v!r}", self.path, self.lineno, col)
-            if self.peek()[1] == ",":
-                self.take()
-            else:
-                break
-        self.take("sym", ")")
-        return Atom(name, tuple(args))
-
-    def rule(self, default_id: str) -> Rule:
-        rule_id = default_id
-        if self.peek()[0] == "id" and self.peek(1)[1] == ":":
-            rule_id = self.take("id")
-            self.take("sym", ":")
-        head = self.atom()
-        self.take("sym", ":-")
-        body = [self.atom()]
-        while self.peek()[1] == ",":
-            self.take()
-            body.append(self.atom())
-        self.take("sym", ".")
-        if self.peek()[0] is not None:
-            raise ParseError("trailing tokens after rule", self.path, self.lineno, self.peek()[2])
-        return Rule(rule_id, head, tuple(body))
+def _atom(text: str, pos: int, path, lineno: int) -> tuple[Atom, int]:
+    m = _ATOM_RE.match(text, pos)
+    if m is None:
+        raise _error(text, pos, "token", path, lineno)
+    if m["close"] is None:
+        expected = "argument" if text[m.end() - 1] in "(," else "token"
+        raise _error(text, m.end(), expected, path, lineno)
+    # lowercase/underscore-initial identifiers are variables; others constants
+    args = tuple(Const(quoted) if not ident
+                 else ident if ident[0].islower() or ident[0] == "_" else Const(ident)
+                 for ident, quoted in _ARGS_RE.findall(text, m.end(1), m.end()))
+    return Atom(m[1], args), m.end()
 
 
 def parse_rule_line(text: str, default_id: str, path=None, lineno: int = 0) -> Rule:
-    tokens = _tokenize_rule_line(text, path, lineno)
-    return _RuleParser(tokens, path, lineno).rule(default_id)
+    """The rule on one line; ``default_id`` unless it has a ``name:`` prefix."""
+    rule_id, pos = default_id, 0
+    m = _NAME_RE.match(text)
+    if m is not None:
+        rule_id, pos = m[1], m.end()
+    head, pos = _atom(text, pos, path, lineno)
+    body, separators = [], (":-",)
+    while (m := _SEP_RE.match(text, pos)) is not None and m[1] in separators:
+        if m[1] == ".":
+            if _END_RE.match(text, m.end()) is None:
+                raise _error(text, m.end(), "end", path, lineno)
+            return Rule(rule_id, head, tuple(body))
+        atom, pos = _atom(text, m.end(), path, lineno)
+        body.append(atom)
+        separators = (",", ".")
+    raise _error(text, pos, "token", path, lineno)
 
 
 def parse_rules(text: str, path=None) -> list[Rule]:
-    """One rule per line; blank and comment-only lines are skipped."""
-    rules = []
+    """One rule per line, ``r<line>`` unless named, ids unique; skips blanks and comments."""
+    rules: dict[str, Rule] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_rule_line(line, path, lineno)
-        if tokens:
-            rules.append(_RuleParser(tokens, path, lineno).rule(f"r{lineno}"))
-    return rules
+        if _END_RE.match(line) is None:
+            rule = parse_rule_line(line, f"r{lineno}", path, lineno)
+            if rule.id in rules:
+                raise ParseError(f"duplicate rule id {rule.id}", path, lineno)
+            rules[rule.id] = rule
+    return list(rules.values())
 
 
 def format_rule(rule: Rule) -> str:
@@ -970,37 +962,33 @@ def parse_relations(text: str, path=None) -> dict[str, RelationDecl]:
     return decls
 
 
+def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The stripped tab-separated fields of each line that is not blank or a comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, [f.strip() for f in line.split("\t")]
+
+
+def _fact(decl: RelationDecl, fields: list[str], path, lineno: int) -> Fact:
+    if len(fields) != decl.arity:
+        raise ParseError(f"{decl.name} has arity {decl.arity}, got {len(fields)} fields",
+                         path, lineno)
+    return Fact(decl.name, tuple(fields))
+
+
 def parse_fact_lines(text: str, decl: RelationDecl, path=None) -> list[Fact]:
-    facts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != decl.arity:
-            raise ParseError(
-                f"{decl.name} has arity {decl.arity}, got {len(fields)} fields", path, lineno)
-        facts.append(Fact(decl.name, tuple(f.strip() for f in fields)))
-    return facts
+    return [_fact(decl, fields, path, lineno) for lineno, fields in _rows(text)]
 
 
 def parse_label_lines(text: str, decls: Mapping[str, RelationDecl], path=None) -> list[Fact]:
     facts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        name = fields[0].strip()
+    for lineno, (name, *fields) in _rows(text):
         decl = decls.get(name)
         if decl is None:
             raise ParseError(f"undeclared relation {name}", path, lineno)
         if decl.kind != OUTPUT:
             raise ParseError(f"labeled relation {name} is not an output relation", path, lineno)
-        if len(fields) - 1 != decl.arity:
-            raise ParseError(
-                f"{name} has arity {decl.arity}, got {len(fields) - 1} fields", path, lineno)
-        facts.append(Fact(name, tuple(f.strip() for f in fields[1:])))
+        facts.append(_fact(decl, fields, path, lineno))
     return facts
 
 
@@ -1014,11 +1002,12 @@ def read_text(path: str | Path) -> str:
         raise ProblemError(f"cannot read {path}: {exc}") from None
 
 
-def parse_problem(directory: str | Path) -> Problem:
+def parse_problem(directory: str | Path, rules: str | Path | None = None) -> Problem:
     """Load and validate a problem directory.
 
     Layout: relations.txt, <relation>.facts per input relation (optional,
-    empty if absent), labels.pos / labels.neg (optional), rules.dl.
+    empty if absent), labels.pos / labels.neg (optional), and rules.dl, or
+    the file ``rules`` in its place.
     """
     directory = Path(directory)
     rel_path = directory / "relations.txt"
@@ -1026,21 +1015,15 @@ def parse_problem(directory: str | Path) -> Problem:
         raise ProblemError(f"missing {rel_path}")
     decls = parse_relations(read_text(rel_path), rel_path)
 
-    for facts_path in directory.glob("*.facts"):
+    facts: list[Fact] = []
+    for facts_path in sorted(directory.glob("*.facts")):
         name = facts_path.stem
         decl = decls.get(name)
         if decl is None:
             raise SemanticError(f"{facts_path}: facts file for undeclared relation {name}")
         if decl.kind != INPUT:
             raise SemanticError(f"{facts_path}: facts file for non-input relation {name}")
-
-    facts: list[Fact] = []
-    for decl in decls.values():
-        if decl.kind != INPUT:
-            continue
-        facts_path = directory / f"{decl.name}.facts"
-        if facts_path.exists():
-            facts.extend(parse_fact_lines(read_text(facts_path), decl, facts_path))
+        facts.extend(parse_fact_lines(read_text(facts_path), decl, facts_path))
     input_db = Database(facts)
 
     def load_labels(filename: str) -> frozenset[Fact]:
@@ -1051,35 +1034,61 @@ def parse_problem(directory: str | Path) -> Problem:
 
     labels = LabelSet(load_labels("labels.pos"), load_labels("labels.neg"))
 
-    rules_path = directory / "rules.dl"
+    rules_path = directory / "rules.dl" if rules is None else Path(rules)
     if not rules_path.is_file():
         raise ProblemError(f"missing {rules_path}")
-    rules = parse_rules(read_text(rules_path), rules_path)
-    for rule in rules:
+    candidates = parse_rules(read_text(rules_path), rules_path)
+    for rule in candidates:
         validate_rule(rule, decls)
-    return Problem(decls, input_db, labels, CandidateRuleSet(rules))
+    return Problem(decls, input_db, labels, CandidateRuleSet(candidates))
+
+
+def _lines(items: Iterable, to_line, read) -> list[str]:
+    """The line of each item; ProblemError naming the first item whose line
+    ``read`` would not read back as ``[item]``."""
+    lines = []
+    for item in items:
+        line = to_line(item)
+        try:
+            same = read(line) == [item]
+        except ParseError:
+            same = False
+        if not same:
+            raise ProblemError(f"cannot write {item!r}: its line {line!r} reads back differently")
+        lines.append(line)
+    return lines
+
+
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _rules_text(rules: Iterable[Rule], header: str) -> str:
+    return f"# {header}\n" + _text(_lines(rules, format_rule, parse_rules))
 
 
 def write_problem(directory: str | Path, decls: Mapping[str, RelationDecl],
                   input: Database, labels: LabelSet, rules: Iterable[Rule]) -> None:
-    """Write a problem directory in the standard layout."""
+    """Write a problem directory in the standard layout; ProblemError, before
+    any file is written, for a tuple or rule that would not read back as itself."""
+    lines = [f"{d.kind} {d.name} {d.arity}" for d in decls.values()]
+    files = {"relations.txt": "\n".join(lines) + "\n"}
+    for decl in decls.values():
+        if decl.kind == INPUT:
+            files[f"{decl.name}.facts"] = _text(_lines(
+                input.relation(decl.name), lambda f: "\t".join(f.args),
+                lambda row: parse_fact_lines(row, decl)))
+    for filename, tuples in (("labels.pos", labels.positive), ("labels.neg", labels.negative)):
+        files[filename] = _text(_lines(sorted(tuples), lambda f: "\t".join((f.relation, *f.args)),
+                                       lambda row: parse_label_lines(row, decls)))
+    files["rules.dl"] = _rules_text(rules, "candidate rules")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"{d.kind} {d.name} {d.arity}" for d in decls.values()]
-    (directory / "relations.txt").write_text("\n".join(lines) + "\n")
-    for decl in decls.values():
-        if decl.kind != INPUT:
-            continue
-        rows = ["\t".join(f.args) for f in input.relation(decl.name)]
-        (directory / f"{decl.name}.facts").write_text("\n".join(rows) + ("\n" if rows else ""))
-    for filename, tuples in (("labels.pos", labels.positive), ("labels.neg", labels.negative)):
-        rows = ["\t".join((f.relation, *f.args)) for f in sorted(tuples)]
-        (directory / filename).write_text("\n".join(rows) + ("\n" if rows else ""))
-    write_rules(rules, directory / "rules.dl")
+    for filename, text in files.items():
+        (directory / filename).write_text(text)
 
 
 def write_rules(rules: Iterable[Rule], path: str | Path, header: str = "candidate rules") -> None:
-    """Write rules in the rules.dl format under a ``# header`` line; round-trips
-    through parse_problem."""
-    lines = [format_rule(r) for r in rules]
-    Path(path).write_text(f"# {header}\n" + "\n".join(lines) + ("\n" if lines else ""))
+    """Write rules in the rules.dl format under a ``# header`` line;
+    ProblemError, before writing, for a rule that would not read back as itself."""
+    Path(path).write_text(_rules_text(rules, header))

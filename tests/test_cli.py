@@ -70,6 +70,20 @@ def test_synth_missing_rules_file(family_dir, tmp_path, capsys):
     assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rules_dl", [None, "q(x) :- p(x\n"])
+def test_rules_flag_replaces_a_missing_or_malformed_rules_dl(family_dir, tmp_path, capsys,
+                                                             rules_dl):
+    rules = tmp_path / "pool.dl"
+    (family_dir / "rules.dl").rename(rules)
+    if rules_dl is not None:
+        (family_dir / "rules.dl").write_text(rules_dl)
+    assert main(["eval", str(family_dir), "--rules", str(rules)]) == EXIT_OK
+    assert len(capsys.readouterr().out.strip().splitlines()) == 20
+    code = main(["synth", str(family_dir), "--seeds", "1", "--rules", str(rules)])
+    assert code == EXIT_OK
+    assert {r.id for r in parse_rules((family_dir / "solution.dl").read_text())} <= {"r1", "r2"}
+
+
 def test_eval_missing_weights_file(family_dir, tmp_path, capsys):
     missing = tmp_path / "nope.tsv"
     code = main(["eval", str(family_dir), "--weights", str(missing)])

@@ -7,13 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from difflog import core
 from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
-                          LabelSet, ParseError, Rule, SemanticError,
+                          LabelSet, ParseError, ProblemError, Rule, SemanticError,
                           boolean_fixpoint, check_solution, format_rule,
                           ground, parse_fact_lines, parse_problem,
                           parse_relations, parse_rule_line, parse_rules,
-                          validate_rule, write_problem)
+                          validate_rule, write_problem, write_rules)
 from difflog.testkit import ground_clauses
 from conftest import PARENT_PAIRS, make_family_rules
 from strategies import SETTINGS, instances
@@ -180,7 +179,7 @@ _CHAR_TOKEN_RE = re.compile(r"""[ \t]*(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)
 
 
 def char_scan_tokens(text: str, path, lineno: int) -> list[tuple[str, str, int]]:
-    """The per-character tokenizer that the one-scan ``_tokenize_rule_line`` replaced."""
+    """A per-character tokenizer: the reference of ``reference_tokens``."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -197,30 +196,153 @@ def char_scan_tokens(text: str, path, lineno: int) -> list[tuple[str, str, int]]
     return tokens
 
 
-def scan(tokenize, text: str):
-    """The tokens, or the error message and column."""
+_TOKEN_RE = re.compile(r"""(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+                           |(?P<sym>:-|[(),.:])
+                           |(?P<str>"[^"]*")
+                           |(?P<space>[ \t]+)
+                           |(?P<comment>\#.*)
+                           |(?P<bad>.)""", re.VERBOSE | re.DOTALL)
+
+
+def reference_tokens(text: str, path, lineno: int) -> list[tuple[str, str, int]]:
+    """The tokens of one line, by one scan; a ``#`` outside a quoted constant
+    starts a comment."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "comment":
+            break
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", path, lineno, m.start() + 1)
+        tokens.append((kind, m.group(), m.start() + 1))
+    return tokens
+
+
+class ReferenceParser:
+    """A token-at-a-time parser of one rule line: the reference of
+    ``parse_rule_line``, which reads each atom with one pattern."""
+
+    def __init__(self, tokens, path, lineno):
+        self.tokens = tokens
+        self.path = path
+        self.lineno = lineno
+        self.i = 0
+
+    def peek(self, offset=0):
+        j = self.i + offset
+        return self.tokens[j] if j < len(self.tokens) else (None, None, None)
+
+    def take(self, kind=None, value=None):
+        k, v, col = self.peek()
+        if k is None:
+            raise ParseError("unexpected end of rule", self.path, self.lineno)
+        if (kind is not None and k != kind) or (value is not None and v != value):
+            raise ParseError(f"unexpected token {v!r}", self.path, self.lineno, col)
+        self.i += 1
+        return v
+
+    def atom(self) -> Atom:
+        name = self.take("id")
+        self.take("sym", "(")
+        args: list = []
+        while True:
+            k, v, col = self.peek()
+            if k == "id":
+                self.take()
+                args.append(v if v[0].islower() or v[0] == "_" else Const(v))
+            elif k == "str":
+                self.take()
+                args.append(Const(v[1:-1]))
+            else:
+                raise ParseError(f"expected argument, got {v!r}", self.path, self.lineno, col)
+            if self.peek()[1] == ",":
+                self.take()
+            else:
+                break
+        self.take("sym", ")")
+        return Atom(name, tuple(args))
+
+    def rule(self, default_id: str) -> Rule:
+        rule_id = default_id
+        if self.peek()[0] == "id" and self.peek(1)[1] == ":":
+            rule_id = self.take("id")
+            self.take("sym", ":")
+        head = self.atom()
+        self.take("sym", ":-")
+        body = [self.atom()]
+        while self.peek()[1] == ",":
+            self.take()
+            body.append(self.atom())
+        self.take("sym", ".")
+        if self.peek()[0] is not None:
+            raise ParseError("trailing tokens after rule", self.path, self.lineno, self.peek()[2])
+        return Rule(rule_id, head, tuple(body))
+
+
+def outcome(parse, text: str):
+    """The rule, or the error's message, line and column."""
     try:
-        return tokenize(text, "rules.dl", 7)
+        return parse(text)
     except ParseError as exc:
-        return str(exc), exc.column
+        return str(exc), exc.line, exc.column
+
+
+def reference_outcomes(text: str) -> list:
+    """The reference parser's outcome over each reference tokenizer."""
+    return [outcome(lambda t: ReferenceParser(tokenize(t, "rules.dl", 7), "rules.dl", 7)
+                    .rule("r7"), text)
+            for tokenize in (reference_tokens, char_scan_tokens)]
+
+
+def assert_parses_like_the_reference(text: str) -> None:
+    got = outcome(lambda t: parse_rule_line(t, "r7", "rules.dl", 7), text)
+    assert reference_outcomes(text) == [got, got]
 
 
 @pytest.mark.parametrize("name", ["samegen", "andersen"])
 def test_tokenizer_matches_per_character_scan_on_golden_rules(name):
+    """Named for the tokenizer it first compared; it now compares the parser."""
     path = Path(__file__).resolve().parents[1] / "problems" / name / "rules.dl"
     lines = path.read_text().splitlines()
     assert len(lines) > 100
-    for line in lines:
-        assert core._tokenize_rule_line(line, path, 1) == char_scan_tokens(line, path, 1)
+    rules = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = reference_tokens(line, path, lineno)
+        assert tokens == char_scan_tokens(line, path, lineno)
+        if tokens:
+            rules.append(ReferenceParser(tokens, path, lineno).rule(f"r{lineno}"))
+    assert parse_rules(path.read_text(), path) == rules
 
 
 @pytest.mark.parametrize("text", [
     "", "   \t ", "# only a comment", 'q(x) :- p(x, "a # b"). # tail',
     "\tr1:\tq(x)  :-p(x),p(y).", 'q(x) :- p(x, "open', "q(x) :- p(x) ; p(y).",
     "q(x) :- p(x\u00a0y).", "q(x) :- p(x).\nq(y)", "q(x) :- p(x). #\n!", "  !", "q-1",
+    "p(x,)", "p(,x)", "q()", "r1: r2: q(x) :- p(x).", "q(x) :- p(x) p(y).", "p(x)).",
+    "p(x)..", "q(x) :- p(x)..", "r1 :- p(x).", 'q(x) :- p("ab', "q(x) :- p(", "q(x) :- p(x",
+    "q(x) :-", "r1:", "q(x) : - p(x).", 'q(x) :- p(x) "a#b" !', 'q(x) :- p(x) "a" # !',
+    "q(x) :- p(x y).", "q(x) :- p(x), .", 'q(X, _y) :- p(X, _y, "", "a,b").',
+    "q(x) :- p(x1, 1).", 'q(x) :- p("a"b).', "q (x) :- p (x , y) .\t# c",
 ])
 def test_tokenizer_matches_per_character_scan_on_edge_lines(text):
-    assert scan(core._tokenize_rule_line, text) == scan(char_scan_tokens, text)
+    """Named for the tokenizer it first compared; it now compares the parser."""
+    assert_parses_like_the_reference(text)
+
+
+_args = st.lists(st.one_of(st.sampled_from(["x", "y", "_z", Const("Will")]),
+                           st.text(alphabet=list("ab ,#():-.\t"), max_size=6).map(Const)),
+                 min_size=1, max_size=3)
+
+
+@SETTINGS
+@given(_args, _args)
+def test_quoted_constants_with_separators_round_trip(head_args, body_args):
+    rule = Rule("r1", Atom("q", tuple(head_args)), (Atom("p", tuple(body_args)), Atom("p", ("x",))))
+    line = format_rule(rule)
+    assert parse_rule_line(line, "fallback") == rule
+    assert_parses_like_the_reference(line)
 
 
 def test_parse_error_names_the_bad_character_and_its_column():
@@ -304,6 +426,44 @@ def test_rules_with_hash_in_constants_round_trip(tmp_path, family_problem):
     assert parse_problem(tmp_path).rules.rules == (
         Rule("c3", Atom("samegen", ("x", "y")),
              (Atom("parent", ("x", Const("#z"))), Atom("parent", ("y", Const("#z"))))),)
+
+
+@pytest.mark.parametrize("fact", [
+    Fact("parent", ("#a", "b")), Fact("parent", (" a", "b")), Fact("parent", ("a", "b\t")),
+    Fact("parent", ("a\tb", "c")), Fact("parent", ("a\nb", "c")), Fact("parent", ("a\x85b", "c")),
+    Fact("parent", ("", "#b")), Fact("parent", ("", "")),
+    Fact("samegen", (" a", "b")), Fact("samegen", ("a", "b\n")), Fact("samegen", ("a\tb", "c")),
+])
+def test_write_problem_refuses_a_tuple_that_reads_back_differently(tmp_path, family_decls, fact):
+    facts, labels = ([fact], ()) if fact.relation == "parent" else ((), [fact])
+    with pytest.raises(ProblemError, match=re.escape(f"cannot write {fact!r}")):
+        write_problem(tmp_path / "p", family_decls, Database(facts),
+                      LabelSet(frozenset(labels), frozenset()), make_family_rules())
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("rule", [
+    Rule("r1", Atom("samegen", ("X", "y")), (Atom("parent", ("X", "y")),)),
+    Rule("r1", Atom("samegen", ("x", Const('a"b'))), (Atom("parent", ("x", "x")),)),
+    Rule("r 1", Atom("samegen", ("x", "x")), (Atom("parent", ("x", "x")),)),
+])
+def test_writers_refuse_a_rule_that_reads_back_differently(tmp_path, family_problem, rule):
+    with pytest.raises(ProblemError, match=re.escape(f"cannot write {rule!r}")):
+        write_rules([rule], tmp_path / "rules.dl")
+    with pytest.raises(ProblemError, match=re.escape(f"cannot write {rule!r}")):
+        write_problem(tmp_path / "p", family_problem.relations, family_problem.input,
+                      family_problem.labels, [rule])
+    assert not (tmp_path / "rules.dl").exists() and not (tmp_path / "p").exists()
+
+
+def test_duplicate_rule_id_names_its_line(tmp_path, family_problem):
+    write_problem(tmp_path, family_problem.relations, family_problem.input,
+                  family_problem.labels, ())
+    (tmp_path / "rules.dl").write_text(
+        "r3: samegen(x,y) :- parent(x,y).\n\nsamegen(x,x) :- parent(x,x).\n")
+    with pytest.raises(ParseError) as info:
+        parse_problem(tmp_path)
+    assert str(info.value) == f"{tmp_path / 'rules.dl'}:3: duplicate rule id r3"
 
 
 def test_parse_problem_rejects_stray_facts(tmp_path, family_problem):

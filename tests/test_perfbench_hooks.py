@@ -31,7 +31,8 @@ def test_tracer_hooks_resolve_and_record_a_traced_synth(monkeypatch, tmp_path):
         spans.uninstall()
     assert code in (0, 2)
     names = {span[0] for span in spans.spans}
-    assert {"core.ground", "viterbi.build", "viterbi.evaluate"} <= names
+    # setup_s times the parse through cli.parse_problem, so the load must call it
+    assert {"core.parse_problem", "core.ground", "viterbi.build", "viterbi.evaluate"} <= names
     assert spans.total("core.ground.clauses", lambda tag: True) > 0
 
 
