@@ -73,9 +73,12 @@ class RelationDecl:
             raise SemanticError(f"relation {self.name}: kind must be input or output")
 
 
-@dataclass(frozen=True, order=True)
-class Fact:
-    """A ground tuple: relation name plus constant arguments."""
+class Fact(NamedTuple):
+    """A ground tuple: relation name plus constant arguments.
+
+    A named tuple, so it hashes, compares and sorts as the plain tuple
+    ``(relation, args)``, and equals it.
+    """
 
     relation: str
     args: tuple[Constant, ...]
@@ -874,18 +877,21 @@ _REST_RE = re.compile(
 def _error(text: str, pos: int, expected: str, path, lineno: int) -> ParseError:
     """The error for a line that the grammar rejects at ``pos``, where it
     expected an "argument", a "token" or the "end" of the line.  A character
-    that no token can start is reported first, wherever it is after ``pos``."""
+    that no token can start is reported first, wherever it is after ``pos``.
+    A line that ends, or reaches its comment, too early is reported at the
+    column just past its last non-blank character before that."""
     m = _REST_RE.match(text, pos)
     if m["end"] is None:
         return ParseError(f"unexpected character {text[m.end()]!r}", path, lineno, m.end() + 1)
     token = m["token"]
-    column = m.start("token") + 1 if token is not None else None
+    if token is None:
+        end = len(text[:m.start("end")].rstrip(" \t"))
+        return ParseError("unexpected end of rule", path, lineno, end + 1)
+    column = m.start("token") + 1
     if expected == "argument":
         return ParseError(f"expected argument, got {token!r}", path, lineno, column)
     if expected == "end":
         return ParseError("trailing tokens after rule", path, lineno, column)
-    if token is None:
-        return ParseError("unexpected end of rule", path, lineno)
     return ParseError(f"unexpected token {token!r}", path, lineno, column)
 
 
@@ -1070,7 +1076,13 @@ def _rules_text(rules: Iterable[Rule], header: str) -> str:
 def write_problem(directory: str | Path, decls: Mapping[str, RelationDecl],
                   input: Database, labels: LabelSet, rules: Iterable[Rule]) -> None:
     """Write a problem directory in the standard layout; ProblemError, before
-    any file is written, for a tuple or rule that would not read back as itself."""
+    any file is written, for an input fact of a relation not declared as
+    input, or a tuple or rule that would not read back as itself."""
+    for relation, facts in input.tuples.items():
+        decl = decls.get(relation)
+        if decl is None or decl.kind != INPUT:
+            raise ProblemError(f"cannot write {facts[0]!r}: {relation} is not "
+                               f"declared as an input relation")
     lines = [f"{d.kind} {d.name} {d.arity}" for d in decls.values()]
     files = {"relations.txt": "\n".join(lines) + "\n"}
     for decl in decls.values():

@@ -154,19 +154,29 @@ class Evaluator:
         return self._row.get(t, len(self._facts))
 
     def _label_index(self, labels: LabelSet) -> tuple[list[Fact], np.ndarray, int]:
-        """The sorted positives, then the sorted negatives, their result rows,
-        and the number of positives; computed once per label set."""
+        """The sorted positives, then the negatives inside the grounding in
+        row order, their result rows, and the number of positives; computed
+        once per label set.
+
+        A negative outside the grounding reads the zero row at every weight
+        vector, so it adds nothing to the loss, its gradient or a check, and
+        is left out.  Rows follow the sorted ``Grounding.facts``, so the
+        negatives kept are in sorted order too.
+        """
         index = self._labels.get(labels)
         if index is None:
-            ordered = [*sorted(labels.positive), *sorted(labels.negative)]
-            index = (ordered, np.array([self.row_of(t) for t in ordered], dtype=np.int64),
-                     len(labels.positive))
+            positive = sorted(labels.positive)
+            negative = sorted(i for i in map(self._row.get, labels.negative) if i is not None)
+            rows = np.array([*map(self.row_of, positive), *negative], dtype=np.int64)
+            index = ([*positive, *(self._facts[i] for i in negative)], rows, len(positive))
             self._labels[labels] = index
         return index
 
     def label_rows(self, labels: LabelSet) -> tuple[np.ndarray, int]:
-        """The result rows of the sorted positives, then the sorted negatives,
-        and the number of positives."""
+        """The result rows of the sorted positives, then of the negatives
+        inside the grounding in sorted order, and the number of positives.
+        Negatives outside the grounding, of value 0 at every weight vector,
+        have no row here."""
         _, rows, n_positive = self._label_index(labels)
         return rows, n_positive
 
@@ -200,8 +210,9 @@ class Evaluator:
         At the program's 0/1 weight vector a fact has value 1 exactly when the
         program derives it (acceptance criterion 2), so a positive label of
         value 0 is missing and a negative label of value > 0 is spurious.  A
-        label outside the grounding reads the zero row.  Input facts count as
-        not derived, as in ``core.boolean_fixpoint``.
+        positive outside the grounding reads the zero row, and a negative
+        outside it is never derived.  Input facts count as not derived, as in
+        ``core.boolean_fixpoint``.
         """
         chosen = set(rule_ids)
         unknown = chosen.difference(self.rule_ids)

@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+from dataclasses import make_dataclass
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,28 @@ def test_fact_ordering_and_str():
     b = Fact("edge", ("a", "c"))
     assert a < b
     assert str(a) == "edge(a, b)"
+
+
+# ``Fact`` as it was before it became a named tuple
+ReferenceFact = make_dataclass(
+    "Fact", [("relation", str), ("args", tuple)], frozen=True, order=True,
+    namespace={"__str__": lambda self: f"{self.relation}({', '.join(self.args)})"})
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.sampled_from(["p", "q", "edge", "p_1"]),
+                          st.lists(st.text(max_size=3), min_size=1, max_size=3).map(tuple)),
+                max_size=20))
+def test_fact_hashes_sorts_and_prints_like_the_dataclass_it_replaced(fields):
+    facts = [Fact(*f) for f in fields]
+    refs = [ReferenceFact(*f) for f in fields]
+    assert [hash(f) for f in facts] == [hash(r) for r in refs]
+    assert [str(f) for f in facts] == [str(r) for r in refs]
+    assert [repr(f) for f in facts] == [repr(r) for r in refs]
+    order = sorted(range(len(facts)), key=facts.__getitem__)
+    assert order == sorted(range(len(refs)), key=refs.__getitem__)
+    assert [tuple(f) for f in set(facts)] == [(r.relation, r.args) for r in set(refs)]
+    assert all(f == tuple(f) == (f.relation, f.args) for f in facts)
 
 
 def test_database_dedups_and_indexes():
@@ -229,6 +252,11 @@ class ReferenceParser:
         self.path = path
         self.lineno = lineno
         self.i = 0
+        # a line that ends too early is reported just past its last token
+        self.end = tokens[-1][2] + len(tokens[-1][1]) if tokens else 1
+
+    def unexpected_end(self) -> ParseError:
+        return ParseError("unexpected end of rule", self.path, self.lineno, self.end)
 
     def peek(self, offset=0):
         j = self.i + offset
@@ -237,7 +265,7 @@ class ReferenceParser:
     def take(self, kind=None, value=None):
         k, v, col = self.peek()
         if k is None:
-            raise ParseError("unexpected end of rule", self.path, self.lineno)
+            raise self.unexpected_end()
         if (kind is not None and k != kind) or (value is not None and v != value):
             raise ParseError(f"unexpected token {v!r}", self.path, self.lineno, col)
         self.i += 1
@@ -255,6 +283,8 @@ class ReferenceParser:
             elif k == "str":
                 self.take()
                 args.append(Const(v[1:-1]))
+            elif k is None:
+                raise self.unexpected_end()
             else:
                 raise ParseError(f"expected argument, got {v!r}", self.path, self.lineno, col)
             if self.peek()[1] == ",":
@@ -325,6 +355,7 @@ def test_tokenizer_matches_per_character_scan_on_golden_rules(name):
     "q(x) :-", "r1:", "q(x) : - p(x).", 'q(x) :- p(x) "a#b" !', 'q(x) :- p(x) "a" # !',
     "q(x) :- p(x y).", "q(x) :- p(x), .", 'q(X, _y) :- p(X, _y, "", "a,b").',
     "q(x) :- p(x1, 1).", 'q(x) :- p("a"b).', "q (x) :- p (x , y) .\t# c",
+    "q(x) :- p(x, # c", 'q(x) :- p("a ",\t', "q(x) :- p(x) ,  ",
 ])
 def test_tokenizer_matches_per_character_scan_on_edge_lines(text):
     """Named for the tokenizer it first compared; it now compares the parser."""
@@ -343,6 +374,17 @@ def test_quoted_constants_with_separators_round_trip(head_args, body_args):
     line = format_rule(rule)
     assert parse_rule_line(line, "fallback") == rule
     assert_parses_like_the_reference(line)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("q(x) :- p(", 11), ("q(x) :- p(x", 12), ("q(x) :- p(x,  ", 13), ("q(x) :- p( # c", 11),
+    ("q(x) :-\t", 8), ("r1:", 4), ("", 1),
+])
+def test_a_line_that_ends_early_names_the_column_past_its_end(text, column):
+    with pytest.raises(ParseError) as info:
+        parse_rule_line(text, "r1", "rules.dl", 3)
+    assert str(info.value) == f"rules.dl:3:{column}: unexpected end of rule"
+    assert (info.value.line, info.value.column) == (3, column)
 
 
 def test_parse_error_names_the_bad_character_and_its_column():
@@ -439,6 +481,19 @@ def test_write_problem_refuses_a_tuple_that_reads_back_differently(tmp_path, fam
     with pytest.raises(ProblemError, match=re.escape(f"cannot write {fact!r}")):
         write_problem(tmp_path / "p", family_decls, Database(facts),
                       LabelSet(frozenset(labels), frozenset()), make_family_rules())
+    assert not (tmp_path / "p").exists()
+
+
+def test_write_problem_refuses_an_input_fact_of_a_relation_not_declared_as_input(tmp_path):
+    decls = parse_relations("input p 1\noutput q 1\n")
+    facts = Database([Fact("p", ("a",)), Fact("q", ("b",)), Fact("z", ("c",))])
+    rules = [Rule("r1", Atom("q", ("x",)), (Atom("p", ("x",)),))]
+    with pytest.raises(ProblemError, match=re.escape(
+            "cannot write Fact(relation='q', args=('b',)): q is not declared as an input")):
+        write_problem(tmp_path / "p", decls, facts, LabelSet(frozenset(), frozenset()), rules)
+    with pytest.raises(ProblemError, match=re.escape("z is not declared as an input")):
+        write_problem(tmp_path / "p", decls, Database([Fact("p", ("a",)), Fact("z", ("c",))]),
+                      LabelSet(frozenset(), frozenset()), rules)
     assert not (tmp_path / "p").exists()
 
 

@@ -1,13 +1,15 @@
 """Differential tests: the search on the grounding it already has.
 
 ``Evaluator`` keeps a count column only for the rules with a ground clause
-(``fired``), and ``SearchRunner`` checks each candidate program with
-``Evaluator.check`` on the pool's grounding.  The references are the paths
-they replaced: a full-width evaluator, with a count column per rule from the
-group-wise reference kernel, whose candidate checks ground the subset again
-through ``core.check_solution``.  The search must not tell them apart:
-traces, outcomes and weight vectors are bitwise equal, and so are values,
-the fired columns of the counts, and the loss gradient at every step.
+(``fired``), its label rows leave out the negatives outside the grounding,
+and ``SearchRunner`` checks each candidate program with ``Evaluator.check``
+on the pool's grounding.  The references are the paths they replaced: a
+full-width evaluator, with a count column per rule from the group-wise
+reference kernel and a row for every label, whose candidate checks ground
+the subset again through ``core.check_solution``.  The search must not tell
+them apart: traces, outcomes and weight vectors are bitwise equal, and so
+are values, the fired columns of the counts, and the loss gradient at every
+step.
 """
 
 import random
@@ -33,7 +35,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 class FullWidthEvaluator:
-    """The evaluator as the search saw it before count columns were narrowed."""
+    """The evaluator as the search saw it before count columns were narrowed,
+    and before its label rows left out the negatives outside the grounding:
+    ``label_rows`` reads every label, each at its row or the zero row."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -130,6 +134,11 @@ def fixture_problem(name: str):
                                         ("cnf4", 1)])
 def test_narrow_search_matches_full_width_on_fixture_problems(name, seed):
     problem = padded(fixture_problem(name), random.Random(seed))
+    if name == "cnf4":
+        # closed-world negatives: the full-label reference reads rows that the
+        # evaluator's label index leaves out
+        inside = set(ground(problem.rules, problem.input).facts)
+        assert not problem.labels.negative <= inside
     config = SearchConfig(max_iters=30, mcmc_period=4, rng_seed=seed)
     assert_narrow_search_matches_full_width(problem, config)
 
@@ -153,6 +162,26 @@ def label_sets(problem, rng: random.Random) -> list[LabelSet]:
     split = rng.randint(0, len(drawn))
     rng.shuffle(drawn)
     return [problem.labels, LabelSet(frozenset(drawn[:split]), frozenset(drawn[split:]))]
+
+
+@SETTINGS
+@given(instances(), st.randoms(use_true_random=False))
+def test_label_index_holds_the_positives_and_the_negatives_inside(problem, rng):
+    """The sorted positives, then the negatives inside the grounding in row
+    order, which is their sorted order; a negative outside has no row."""
+    ev = Evaluator(problem.rules, problem.input)
+    facts = ground(problem.rules, problem.input).facts
+    row = {f: i for i, f in enumerate(facts)}
+    for labels in label_sets(problem, rng):
+        positive = sorted(labels.positive)
+        inside = sorted(row[t] for t in labels.negative if t in row)
+        ordered, rows, n_positive = ev._label_index(labels)
+        assert ordered == positive + sorted(t for t in labels.negative if t in row)
+        assert ordered[n_positive:] == [facts[i] for i in inside]
+        assert rows.tolist() == [row.get(t, len(facts)) for t in positive] + inside
+        assert n_positive == len(positive)
+        got_rows, got_n = ev.label_rows(labels)
+        assert got_rows.tolist() == rows.tolist() and got_n == n_positive
 
 
 @SETTINGS

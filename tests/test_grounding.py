@@ -165,6 +165,8 @@ def test_kernel_clause_set_matches_naive_ground(problem):
 def test_kernel_fixpoint_matches_naive_fixpoint(problem):
     expected = naive_fixpoint(problem.rules, problem.input)
     assert boolean_fixpoint(problem.rules, problem.input) == expected
+    # sorted and distinct: ``Evaluator`` orders the negative labels by their
+    # grounding row and relies on the rows being in sorted ``Fact`` order
     assert ground(problem.rules, problem.input).facts == \
         sorted({*problem.input.facts(), *expected.facts()})
 
