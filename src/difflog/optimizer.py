@@ -82,13 +82,13 @@ def loss_gradient(result: EvaluationResult, w: np.ndarray, labels: LabelSet) -> 
     a[:n_positive] = -2.0 * (1.0 - v[:n_positive])
     live = v > 0.0  # a label without a derivation has an all-zero count row
     v, a, counts = v[live], a[live], result.counts[rows[live]]
-    # row 0 starts each sum at 0.0; accumulate adds the labels in order, where
-    # a reduction may sum pairwise and round differently
-    terms = np.zeros((len(v) + 1, len(ev.fired)))
-    np.divide((a[:, None] * counts) * v[:, None], w[ev.fired], out=terms[1:],
-              where=counts != 0)
+    # the nonzero counts in label order; bincount adds each column's terms in
+    # that order from 0.0, where a reduction may sum pairwise and round
+    # differently, and a skipped zero term would change no sum
+    label, col = np.nonzero(counts)
+    terms = ((a[label] * counts[label, col]) * v[label]) / w[ev.fired[col]]
     grad = np.zeros(len(w))
-    grad[ev.fired] = np.add.accumulate(terms, axis=0)[-1]
+    grad[ev.fired] = np.bincount(col, weights=terms, minlength=len(ev.fired))
     return grad
 
 
@@ -179,8 +179,9 @@ class SearchRunner:
         self.elapsed = 0.0
         self.outcome: SearchOutcome | None = None
 
-        self.w = np.array([self.rng.uniform(INIT_LOW, INIT_HIGH)
-                           for _ in self.evaluator.rule_ids])
+        # random.uniform's arithmetic, a + (b - a) * random(), once over the array
+        x = np.array([self.rng.random() for _ in self.evaluator.rule_ids])
+        self.w = INIT_LOW + (INIT_HIGH - INIT_LOW) * x
         if config.timeout is not None and config.timeout <= 0.0:
             self._finish("timeout")
             return

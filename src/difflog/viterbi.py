@@ -18,8 +18,10 @@ round is one segmented max (see ``Evaluator``).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -67,21 +69,48 @@ class EvaluationResult:
 
 
 class _Clauses(NamedTuple):
-    """Clauses in ``core.ground``'s order, with each head's segment of them."""
+    """Clauses in ``core.ground``'s order, with each head's segment of them.
 
-    rule: np.ndarray     # clause -> count column (index into ``Evaluator.fired``)
-    cols: np.ndarray     # (max body length x clauses) antecedent rows
-    heads: np.ndarray    # the conclusions, ascending
-    lengths: np.ndarray  # clauses per head
-    starts: np.ndarray   # each head's first clause
+    A clause's product starts with ``w_r * u[a0]``, its rule's weight times
+    its first antecedent, and most clauses share that pair with others, so
+    each distinct (rule, first antecedent) pair is multiplied once per round
+    and gathered into the clauses that have it.
+    """
+
+    cols: np.ndarray       # (max body length x clauses) antecedent rows
+    concl: np.ndarray      # clause -> its conclusion's row
+    pair: np.ndarray       # clause -> its (rule, first antecedent) pair
+    pair_rule: np.ndarray  # pair -> count column (index into ``Evaluator.fired``)
+    pair_row: np.ndarray   # pair -> first antecedent row
+    heads: np.ndarray      # the conclusions, ascending
+    starts: np.ndarray     # each head's first clause
 
     @classmethod
-    def of(cls, concl: np.ndarray, rule: np.ndarray, cols: np.ndarray,
-           n_facts: int) -> "_Clauses":
+    def of(cls, cols: np.ndarray, concl: np.ndarray, pair: np.ndarray,
+           pair_rule: np.ndarray, pair_row: np.ndarray, n_facts: int) -> "_Clauses":
         sizes = np.bincount(concl, minlength=n_facts)
         heads = np.flatnonzero(sizes)
         lengths = sizes[heads]
-        return cls(rule, cols, heads, lengths, np.cumsum(lengths) - lengths)
+        return cls(cols, concl, pair, pair_rule, pair_row, heads, np.cumsum(lengths) - lengths)
+
+
+def _number(ids: np.ndarray, bound: int, table_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``ids``, all below ``bound``, ascending, and each
+    id's index among them: ``np.unique(ids, return_inverse=True)``.
+
+    A dense table of ``bound`` entries numbers them without a sort; it is
+    used when ``bound`` is at most ``table_limit``, and then the indexes are
+    written over ``ids``, which maps no new pages for them.
+    """
+    if bound > table_limit:
+        return np.unique(ids, return_inverse=True)
+    present = np.zeros(bound, dtype=bool)
+    present[ids] = True
+    values = np.flatnonzero(present)
+    number = np.empty(bound, dtype=np.intp)
+    number[values] = np.arange(len(values))
+    # take reads each id before it writes that position
+    return values, number.take(ids, out=ids, mode="wrap")
 
 
 class Evaluator:
@@ -110,9 +139,17 @@ class Evaluator:
     exact: in round 1 only those rows are nonzero, so every other clause is
     0 and can neither raise a head nor attain a raised head's maximum.
 
-    The evaluator owns its clause-sized scratch, the gathered weights, the
-    products and one antecedent column, and every evaluation reuses it, so a
-    call maps no new pages.  One evaluator runs one evaluation at a time.
+    A round multiplies each distinct (rule, first antecedent) pair once and
+    gathers the products into the clauses (``_Clauses``); it is the same
+    multiply, so every value is bitwise what a per-clause product gives.  The
+    fixpoint stops after a round that changes only facts of relations that no
+    fired rule reads, counting the round it skips: no clause reads those
+    facts, so that round would recompute the same values and change nothing.
+
+    The evaluator owns its scratch, the pair weights and products, the clause
+    products, one antecedent column and the winner mask, and every evaluation
+    reuses it, so a call allocates nothing clause-sized.  One evaluator runs
+    one evaluation at a time.
     """
 
     def __init__(self, rules: CandidateRuleSet | Iterable[Rule], input: Database,
@@ -133,19 +170,39 @@ class Evaluator:
         n_facts, concl = len(self._facts), grounding.concl
         fires = np.bincount(grounding.rule, minlength=len(self.rule_ids)) > 0
         self.fired = np.flatnonzero(fires)
-        # each clause names its rule's count column: the rank among the fired rules
-        rule = (np.cumsum(fires) - 1)[grounding.rule]
         # the grounding is this evaluator's own, so its pads take the pad row in
         # place; a pool without clauses gets one empty antecedent column
         cols = grounding.cols if len(grounding.cols) else np.empty((1, 0), dtype=np.intp)
         cols[cols < 0] = n_facts + 1
-        self._clauses = _Clauses.of(concl, rule, cols, n_facts)
-        known = np.zeros(n_facts + 2, dtype=bool)
+        # a clause's pair key is its rule's count column (the rank among the
+        # fired rules) times the rows, plus its first antecedent's row
+        n_rows = n_facts + 2
+        key = (np.cumsum(fires) - 1)[grounding.rule]
+        key *= n_rows
+        key += cols[0]
+        # the table over the keys may be as large as the antecedent columns
+        keys, pair = _number(key, len(self.fired) * n_rows, cols.size)
+        pair_rule, pair_row = np.divmod(keys, n_rows)
+        self._clauses = _Clauses.of(cols, concl, pair, pair_rule, pair_row, n_facts)
+        known = np.zeros(n_rows, dtype=bool)
         known[self._input_idx] = known[-1] = True
         first = known[cols].all(axis=0)
-        self._first_round = _Clauses.of(concl[first], rule[first], cols[:, first], n_facts)
-        # weights, products, antecedent: the first round uses a prefix of each
-        self._scratch = np.empty((3, len(concl)))
+        # the first round's pairs are a subset of all the pairs
+        used, first_pair = _number(pair[first], len(keys), cols.size)
+        self._first_round = _Clauses.of(cols[:, first], concl[first], first_pair,
+                                        pair_rule[used], pair_row[used], n_facts)
+        # the rows of the relations a fired rule reads; ``facts`` is sorted, so
+        # each relation's rows are one run
+        self._read = np.zeros(n_rows, dtype=bool)
+        relation = attrgetter("relation")
+        for name in {a.relation for r in self.fired.tolist() for a in rules.rules[r].body}:
+            self._read[bisect_left(self._facts, name, key=relation):
+                       bisect_right(self._facts, name, key=relation)] = True
+        # pair weights, first antecedents and products; clause products, one
+        # antecedent column, winners: the first round uses a prefix of each
+        self._pair_scratch = np.empty((3, len(self._clauses.pair_rule)))
+        self._scratch = np.empty((2, len(concl)))
+        self._hit = np.empty(len(concl), dtype=bool)
         self._row = {f: i for i, f in enumerate(self._facts)}
         self._labels: dict[LabelSet, tuple[list[Fact], np.ndarray, int]] = {}
 
@@ -237,28 +294,39 @@ class Evaluator:
         for rounds in itertools.count(1):
             # round 1 reads only the input and pad rows, so it runs over the input-only clauses
             c = self._first_round if rounds == 1 else self._clauses
-            weights, vals, antecedent = self._scratch[:, :len(c.rule)]
+            weights, first, products = self._pair_scratch[:, :len(c.pair_rule)]
+            vals, antecedent = self._scratch[:, :len(c.pair)]
             if rounds <= 2:
-                np.take(wf, c.rule, out=weights)
-            # ((w * u0) * u1) * u2: weight first, antecedents left to right, pads last
-            np.multiply(weights, np.take(u, c.cols[0], out=antecedent, mode="wrap"), out=vals)
+                wf.take(c.pair_rule, out=weights)
+            # ((w * u0) * u1) * u2: weight first, antecedents left to right, pads
+            # last; w * u0 once per (rule, first antecedent) pair
+            np.multiply(weights, u.take(c.pair_row, out=first, mode="wrap"), out=products)
+            products.take(c.pair, out=vals, mode="wrap")
             for col in c.cols[1:]:
-                np.multiply(vals, np.take(u, col, out=antecedent, mode="wrap"), out=vals)
+                np.multiply(vals, u.take(col, out=antecedent, mode="wrap"), out=vals)
             best = np.maximum.reduceat(vals, c.starts)
             changed = best > u[c.heads]
             if not changed.any():
                 break
-            # a changed head's winner: the first position in its segment attaining the max
-            attain = np.flatnonzero(vals == np.repeat(best, c.lengths))
-            wins = attain[np.searchsorted(attain, c.starts[changed])]
             facts = c.heads[changed]
+            u[facts] = best[changed]
+            # a changed head's winner: the first position in its segment attaining
+            # its new value; the segments of unchanged heads are not searched
+            hit = self._hit[:len(c.pair)]
+            np.equal(vals, u.take(c.concl, out=antecedent, mode="wrap"), out=hit)
+            attain = np.flatnonzero(hit)
+            wins = attain[np.searchsorted(attain, c.starts[changed])]
             # a winner's row: its rule once, plus its antecedents' rows of the last round
             rows = np.zeros((len(facts), len(self.fired)), dtype=np.int64)
-            rows[np.arange(len(facts)), c.rule[wins]] = 1
+            rows[np.arange(len(facts)), c.pair_rule[c.pair[wins]]] = 1
             for col in c.cols:
                 rows += counts[col[wins]]
             counts[facts] = rows
-            u[facts] = best[changed]
+            if not self._read[facts].any():
+                # no clause reads a changed fact, so the next round would
+                # recompute this round's values and change nothing: count it
+                rounds += 1
+                break
         return EvaluationResult(u[:-1], counts[:-1], rounds, self)
 
 

@@ -2,14 +2,15 @@
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from difflog.core import (Atom, CandidateRuleSet, Database, Fact, LabelSet,
-                          Problem, RelationDecl, Rule)
-from difflog.optimizer import (SearchConfig, SearchRunner, ZeroGradientError,
-                               clamp, loss, loss_gradient, mcmc_accept,
+                          Problem, RelationDecl, Rule, parse_problem)
+from difflog.optimizer import (INIT_HIGH, INIT_LOW, SearchConfig, SearchRunner,
+                               ZeroGradientError, clamp, loss, loss_gradient, mcmc_accept,
                                mcmc_propose, newton_step, search,
                                separation_check, temperature)
 from difflog.viterbi import Evaluator
@@ -217,3 +218,17 @@ def test_cancel_before_finish(family_problem):
         outcome = runner.cancel()
         assert outcome.status == "cancelled"
     assert runner.cancel() is runner.outcome
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 2024])
+def test_initial_weights_are_bitwise_the_uniform_draws(family_problem, seed):
+    samegen = parse_problem(Path(__file__).resolve().parents[1] / "problems" / "samegen")
+    for problem in (make_single_rule_problem(), family_problem, samegen):
+        evaluator = Evaluator(problem.rules, problem.input)
+        # a zero budget stops the runner after it draws, before it evaluates
+        runner = SearchRunner(problem, SearchConfig(rng_seed=seed, timeout=0.0), evaluator)
+        rng = random.Random(seed)
+        uniform = [rng.uniform(INIT_LOW, INIT_HIGH) for _ in evaluator.rule_ids]
+        assert len(uniform) == len(problem.rules)
+        assert runner.w.tobytes() == np.array(uniform).tobytes()
+        assert runner.rng.getstate() == rng.getstate()
