@@ -708,29 +708,22 @@ class _Kernel:
         order = np.argsort(keys, kind="stable")
         self.known_keys, self.known_ids = keys[order], np.concatenate([self.known_ids, ids])[order]
 
-    def _fact(self, row: int, rel: int, args: list[int]) -> Fact:
-        """The fact of table row ``row``; an input fact is the input's own object."""
-        if row < self.n_input:
-            return self.inputs[row]
-        return Fact(self.names[rel], tuple(self.constants[c] for c in args[:self.arity[rel]]))
-
-    def _sorted_facts(self) -> tuple[list[Fact], np.ndarray]:
-        """Every fact, sorted, and the position of each fact id among them."""
-        ids = self.known_ids
-        position = np.empty(self.n, dtype=np.int64)
-        position[ids] = np.arange(self.n)
-        facts = [self._fact(*row) for row in zip(ids.tolist(), self.rel[ids].tolist(),
-                                                  self.args[:, ids].T.tolist())]
-        return facts, position
+    def _facts(self, rows: np.ndarray) -> list[Fact]:
+        """The facts of table rows ``rows``; an input fact is the input's own object."""
+        return [self.inputs[row] if row < self.n_input else
+                Fact(self.names[rel], tuple(self.constants[c] for c in args[:self.arity[rel]]))
+                for row, rel, args in zip(rows.tolist(), self.rel[rows].tolist(),
+                                          self.args[:, rows].T.tolist())]
 
     def derived(self) -> list[Fact]:
         """The derived facts that are not input facts."""
-        return [self._fact(*row) for row in zip(range(self.n_input, self.n),
-                                                self.rel[self.n_input:].tolist(),
-                                                self.args[:, self.n_input:].T.tolist())]
+        return self._facts(np.arange(self.n_input, self.n))
 
     def grounding(self) -> "Grounding":
-        facts, position = self._sorted_facts()
+        # ``known_ids`` lists the fact ids in sorted fact order
+        facts = self._facts(self.known_ids)
+        position = np.empty(self.n, dtype=np.int64)
+        position[self.known_ids] = np.arange(self.n)
         width = max((len(ants) for *_, ants in self.chunks), default=0)
         by_rank = sorted(range(len(self.rules)), key=lambda r: self.rules[r].id)
         rank = np.empty(len(self.rules), dtype=np.int64)

@@ -191,9 +191,14 @@ def augment(seeds: Iterable[Rule], k: int, decls: Mapping[str, RelationDecl],
 
 
 def generate(decls: Mapping[str, RelationDecl], config: GenConfig) -> CandidateRuleSet:
-    """Chain seeds plus k-augmentation, with stable ids r1..rN in canonical order."""
+    """Chain seeds plus k-augmentation, with stable ids r1..rN in canonical order;
+    ProblemError naming every output relation that no candidate rule derives."""
     seeds = chain_seeds(decls, config.max_body_len, config.allow_recursion)
     rules = augment(seeds, config.k, decls, max_body_len=config.max_body_len,
                     allow_recursion=config.allow_recursion, cap=config.cap)
+    heads = {r.head.relation for r in rules}
+    underived = [d.name for d in decls.values() if d.kind == OUTPUT and d.name not in heads]
+    if underived:
+        raise ProblemError(f"no candidate rule derives output relation(s) {', '.join(underived)}")
     return CandidateRuleSet(
         Rule(f"r{i}", r.head, r.body) for i, r in enumerate(rules, start=1))

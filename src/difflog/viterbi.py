@@ -18,10 +18,8 @@ round is one segmented max (see ``Evaluator``).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -72,26 +70,24 @@ class _Clauses(NamedTuple):
     """Clauses in ``core.ground``'s order, with each head's segment of them.
 
     A clause's product starts with ``w_r * u[a0]``, its rule's weight times
-    its first antecedent, and most clauses share that pair with others, so
-    each distinct (rule, first antecedent) pair is multiplied once per round
-    and gathered into the clauses that have it.
+    its first antecedent.  ``pair`` indexes the evaluator's one table of the
+    distinct (rule, first antecedent) pairs, whose products a round computes
+    once and gathers into the clauses that have them.
     """
 
-    cols: np.ndarray       # (max body length x clauses) antecedent rows
-    concl: np.ndarray      # clause -> its conclusion's row
-    pair: np.ndarray       # clause -> its (rule, first antecedent) pair
-    pair_rule: np.ndarray  # pair -> count column (index into ``Evaluator.fired``)
-    pair_row: np.ndarray   # pair -> first antecedent row
-    heads: np.ndarray      # the conclusions, ascending
-    starts: np.ndarray     # each head's first clause
+    cols: np.ndarray    # (max body length x clauses) antecedent rows
+    concl: np.ndarray   # clause -> its conclusion's row
+    pair: np.ndarray    # clause -> its (rule, first antecedent) pair
+    heads: np.ndarray   # the conclusions, ascending
+    starts: np.ndarray  # each head's first clause
 
     @classmethod
     def of(cls, cols: np.ndarray, concl: np.ndarray, pair: np.ndarray,
-           pair_rule: np.ndarray, pair_row: np.ndarray, n_facts: int) -> "_Clauses":
+           n_facts: int) -> "_Clauses":
         sizes = np.bincount(concl, minlength=n_facts)
         heads = np.flatnonzero(sizes)
         lengths = sizes[heads]
-        return cls(cols, concl, pair, pair_rule, pair_row, heads, np.cumsum(lengths) - lengths)
+        return cls(cols, concl, pair, heads, np.cumsum(lengths) - lengths)
 
 
 def _number(ids: np.ndarray, bound: int, table_limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,17 +135,17 @@ class Evaluator:
     exact: in round 1 only those rows are nonzero, so every other clause is
     0 and can neither raise a head nor attain a raised head's maximum.
 
-    A round multiplies each distinct (rule, first antecedent) pair once and
-    gathers the products into the clauses (``_Clauses``); it is the same
+    Both clause sets index one table of the distinct (rule, first
+    antecedent) pairs.  A round multiplies every pair once and gathers the
+    products into its own set's clauses (``_Clauses``); it is the same
     multiply, so every value is bitwise what a per-clause product gives.  The
-    fixpoint stops after a round that changes only facts of relations that no
-    fired rule reads, counting the round it skips: no clause reads those
-    facts, so that round would recompute the same values and change nothing.
+    fixpoint stops after a round that changes only facts that no clause
+    reads, counting the round it skips, which would change nothing.
 
-    The evaluator owns its scratch, the pair weights and products, the clause
-    products, one antecedent column and the winner mask, and every evaluation
-    reuses it, so a call allocates nothing clause-sized.  One evaluator runs
-    one evaluation at a time.
+    The evaluator owns its scratch, the pair weights (filled once per
+    evaluation) and products, the clause products, one antecedent column and
+    the winner mask, and every evaluation reuses it, so a call allocates
+    nothing clause-sized.  One evaluator runs one evaluation at a time.
     """
 
     def __init__(self, rules: CandidateRuleSet | Iterable[Rule], input: Database,
@@ -182,25 +178,17 @@ class Evaluator:
         key += cols[0]
         # the table over the keys may be as large as the antecedent columns
         keys, pair = _number(key, len(self.fired) * n_rows, cols.size)
-        pair_rule, pair_row = np.divmod(keys, n_rows)
-        self._clauses = _Clauses.of(cols, concl, pair, pair_rule, pair_row, n_facts)
+        self._pair_rule, self._pair_row = np.divmod(keys, n_rows)
+        self._clauses = _Clauses.of(cols, concl, pair, n_facts)
         known = np.zeros(n_rows, dtype=bool)
         known[self._input_idx] = known[-1] = True
         first = known[cols].all(axis=0)
-        # the first round's pairs are a subset of all the pairs
-        used, first_pair = _number(pair[first], len(keys), cols.size)
-        self._first_round = _Clauses.of(cols[:, first], concl[first], first_pair,
-                                        pair_rule[used], pair_row[used], n_facts)
-        # the rows of the relations a fired rule reads; ``facts`` is sorted, so
-        # each relation's rows are one run
+        self._first_round = _Clauses.of(cols[:, first], concl[first], pair[first], n_facts)
         self._read = np.zeros(n_rows, dtype=bool)
-        relation = attrgetter("relation")
-        for name in {a.relation for r in self.fired.tolist() for a in rules.rules[r].body}:
-            self._read[bisect_left(self._facts, name, key=relation):
-                       bisect_right(self._facts, name, key=relation)] = True
+        self._read[cols] = True  # the rows that some clause reads
         # pair weights, first antecedents and products; clause products, one
-        # antecedent column, winners: the first round uses a prefix of each
-        self._pair_scratch = np.empty((3, len(self._clauses.pair_rule)))
+        # antecedent column and winners, of which the first round uses a prefix
+        self._pair_scratch = np.empty((3, len(keys)))
         self._scratch = np.empty((2, len(concl)))
         self._hit = np.empty(len(concl), dtype=bool)
         self._row = {f: i for i, f in enumerate(self._facts)}
@@ -291,16 +279,15 @@ class Evaluator:
         u = np.zeros(len(self._facts) + 2)
         u[self._input_idx] = u[-1] = 1.0
         counts = np.zeros((len(u), len(self.fired)), dtype=np.int64)
+        weights, first, products = self._pair_scratch
+        wf.take(self._pair_rule, out=weights)
         for rounds in itertools.count(1):
             # round 1 reads only the input and pad rows, so it runs over the input-only clauses
             c = self._first_round if rounds == 1 else self._clauses
-            weights, first, products = self._pair_scratch[:, :len(c.pair_rule)]
             vals, antecedent = self._scratch[:, :len(c.pair)]
-            if rounds <= 2:
-                wf.take(c.pair_rule, out=weights)
             # ((w * u0) * u1) * u2: weight first, antecedents left to right, pads
             # last; w * u0 once per (rule, first antecedent) pair
-            np.multiply(weights, u.take(c.pair_row, out=first, mode="wrap"), out=products)
+            np.multiply(weights, u.take(self._pair_row, out=first, mode="wrap"), out=products)
             products.take(c.pair, out=vals, mode="wrap")
             for col in c.cols[1:]:
                 np.multiply(vals, u.take(col, out=antecedent, mode="wrap"), out=vals)
@@ -318,13 +305,12 @@ class Evaluator:
             wins = attain[np.searchsorted(attain, c.starts[changed])]
             # a winner's row: its rule once, plus its antecedents' rows of the last round
             rows = np.zeros((len(facts), len(self.fired)), dtype=np.int64)
-            rows[np.arange(len(facts)), c.pair_rule[c.pair[wins]]] = 1
+            rows[np.arange(len(facts)), self._pair_rule[c.pair[wins]]] = 1
             for col in c.cols:
                 rows += counts[col[wins]]
             counts[facts] = rows
             if not self._read[facts].any():
-                # no clause reads a changed fact, so the next round would
-                # recompute this round's values and change nothing: count it
+                # no clause reads a changed fact, so the next round changes nothing: count it
                 rounds += 1
                 break
         return EvaluationResult(u[:-1], counts[:-1], rounds, self)

@@ -133,6 +133,18 @@ def test_gen_rules_cap(family_dir, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output", ["src 1", "tri 3"])
+def test_gen_rules_rejects_an_output_no_rule_derives(tmp_path, capsys, output):
+    # chain seeds have binary heads, so a unary or ternary output gets no rule
+    (tmp_path / "relations.txt").write_text(
+        f"input edge 2\ninput node 1\noutput {output}\noutput path 2\n")
+    code = main(["gen-rules", "--problem", str(tmp_path), "--max-body-len", "2", "--k", "1"])
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert no_traceback_error(err) and output.split()[0] in err and "path" not in err
+    assert not (tmp_path / "rules.dl").exists()
+
+
 def test_encode_3cnf_command(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")

@@ -2,8 +2,8 @@
 
 ``Evaluator`` multiplies each distinct (rule, first antecedent) pair once
 per round, finds winners through each clause's conclusion row into an owned
-mask, and stops once a round changes only facts of relations that no fired
-rule reads.  The group-wise reference of ``test_evaluate_kernel`` runs every
+mask, and stops after a round that changes only facts that no clause
+reads.  The group-wise reference of ``test_evaluate_kernel`` runs every
 round in full, so equal values, counts and rounds show that the idle-round
 stop is exact.  samegen numbers its pairs with the dense table, the 3-CNF
 pool with ``np.unique``.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from difflog.core import ground, parse_problem
+from difflog.core import Database, Fact, ground, parse_problem, parse_rules
 from difflog.optimizer import clamp
 from difflog.testkit import encode_3cnf, parse_dimacs
 from difflog.viterbi import Evaluator
@@ -50,6 +50,20 @@ def test_idle_round_stop_where_no_rule_reads_the_last_facts():
     error_rows = [ev.row_of(f) for f in ev.evaluate(np.ones(len(ev.rule_ids))).derived.facts()
                   if f.relation == "error"]
     assert error_rows and not ev._read[error_rows].any()
+
+
+def test_idle_round_stop_where_no_clause_reads_a_fact_of_a_read_relation():
+    # p(a,c) arrives in round 2; rules read p, but no clause reads p(a,c)
+    rules = parse_rules("p(x,y) :- e(x,y).\n"
+                        "p(x,z) :- p(x,y), e(y,z).\n"
+                        "q(x) :- p(x,y), s(y).\n")
+    input = Database([Fact("e", ("a", "b")), Fact("e", ("b", "c")), Fact("s", ("b",))])
+    rng = random.Random(9)
+    weights = [w for _ in range(5) for w in weight_vectors(rng, len(rules))]
+    ev = assert_matches_reference(rules, input, weights)
+    assert ev.evaluate(np.ones(len(rules))).rounds == 3
+    assert ev._read[ev.row_of(Fact("p", ("a", "b")))]
+    assert not ev._read[[ev.row_of(Fact("p", ("a", "c"))), ev.row_of(Fact("q", ("a",)))]].any()
 
 
 def test_idle_round_stop_where_rules_read_every_head():

@@ -18,8 +18,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from difflog.core import (Database, Fact, Rule, boolean_fixpoint, format_rule,
-                          parse_relations, parse_rule_line, write_rules)
+from difflog.core import (Database, Fact, LabelSet, Rule, boolean_fixpoint, format_rule,
+                          parse_relations, parse_rule_line, write_problem)
 from difflog.rulegen import _canonical_key, augment, chain_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,39 +55,21 @@ def candidate_rules(decls, keep) -> list[Rule]:
 def write_problem_dir(name: str, relations_text: str, facts: list[Fact],
                       targets: list[Rule], rules: list[Rule],
                       heldout_facts: list[Fact]) -> None:
-    decls = parse_relations(relations_text)
-    directory = ROOT / "problems" / name
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "relations.txt").write_text(relations_text)
-
-    input_db = Database(facts)
-    input_names = sorted({f.relation for f in facts})
-    for rel in input_names:
-        lines = ["\t".join(f.args) for f in input_db.relation(rel)]
-        (directory / f"{rel}.facts").write_text("\n".join(lines) + "\n")
-
-    # Complete labeling: target fixpoint is positive, everything else negative.
-    derived = boolean_fixpoint(targets, input_db)
-    constants = sorted({c for f in facts for c in f.args})
-    positives = sorted(derived.facts())
-    negatives = []
-    for decl in decls.values():
-        if decl.kind != "output":
-            continue
-        for args in itertools.product(constants, repeat=decl.arity):
-            t = Fact(decl.name, args)
-            if t not in derived:
-                negatives.append(t)
-    (directory / "labels.pos").write_text(
-        "".join(f"{t.relation}\t" + "\t".join(t.args) + "\n" for t in positives))
-    (directory / "labels.neg").write_text(
-        "".join(f"{t.relation}\t" + "\t".join(t.args) + "\n" for t in sorted(negatives)))
-
     keys = {_canonical_key(r) for r in rules}
     missing = [format_rule(t) for t in targets if _canonical_key(t) not in keys]
     if missing:
         raise SystemExit(f"{name}: target rules missing from candidates: {missing}")
-    write_rules(rules, directory / "rules.dl")
+
+    # Complete labeling: target fixpoint is positive, everything else negative.
+    decls = parse_relations(relations_text)
+    input_db = Database(facts)
+    positives = frozenset(boolean_fixpoint(targets, input_db).facts())
+    constants = sorted({c for f in facts for c in f.args})
+    negatives = frozenset(Fact(decl.name, args) for decl in decls.values()
+                          if decl.kind == "output"
+                          for args in itertools.product(constants, repeat=decl.arity)) - positives
+    directory = ROOT / "problems" / name
+    write_problem(directory, decls, input_db, LabelSet(positives, negatives), rules)
 
     heldout = directory / "heldout"
     heldout.mkdir(exist_ok=True)
