@@ -1,18 +1,20 @@
 """Datalog data model, text formats, grounding, and Boolean fixpoint evaluation.
 
-Constants are opaque strings.  Rules are pure positive Datalog: no
-negation, no arithmetic, and every head variable must occur in the body
-(range restriction).  One semi-naive kernel grounds a rule set with numpy
-sort-merge joins over one interned fact table, and fires the rules that
-share a body shape as one join: it derives the least fixpoint and emits, in
-one pass, every ground clause over it except self-loops, which never raise
-their conclusion, as the arrays that weighted evaluation runs on.  A join
-that is empty for sure is skipped, and a grounding past ``CLAUSE_BUDGET``
-clauses, or join rows in one step, stops with ``GroundingBudgetError``.  This module alone fixes the
-clause order, (conclusion, rule id, antecedents), which decides the winning
-derivation among equal values; bodies shorter than the longest are padded
-with -1.  All structures are immutable after construction and safe to share
-across threads.
+Constants are opaque strings.  Rules are pure positive Datalog: no negation,
+no arithmetic, and every head variable must occur in the body (range
+restriction); each relation has one arity, in the input and in every rule.
+One semi-naive kernel grounds a rule set with numpy sort-merge joins over
+one interned fact table, and fires the rules that share a body shape as one
+join per delta literal, whatever their heads read: it derives the least
+fixpoint and emits, in one pass, every ground clause over it except
+self-loops, which never raise their conclusion, as the arrays that weighted
+evaluation runs on.  A join that is empty for sure is skipped, and a
+grounding past ``CLAUSE_BUDGET`` clauses, or join rows in one step summed
+over the rules of its shape, stops with ``GroundingBudgetError``.  This
+module alone fixes the clause order, (conclusion, rule id, antecedents),
+which decides the winning derivation among equal values; bodies shorter than
+the longest are padded with -1.  All structures are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -271,16 +273,19 @@ class Problem(NamedTuple):
 # How such a join runs depends on the rule's body shape, its pattern of
 # variables and constants, but not on its relation names or constant values.
 # So the (rule, delta literal) pairs are grouped by (body shape, delta
-# literal, body variables that the head reads), and the rules of a group
-# fire together, as one join a round.  A group's template, its join order
-# and key weights, is built on its first firing; relation ids and constants
-# are data, one static key part per rule and step, and the join rows carry
-# their rule's index in the group.  The first step probes the delta with
-# one key per rule.  Every later step packs each row's bound arguments into
-# one exact key (int64, or Python ints where that could overflow), finds it
-# in a sorted key index of the facts that the step reads, built on first use
-# in a round, and expands the rows by their matches with ``np.repeat``.  The
-# index already leaves out facts that break a repeated variable.  A head key
+# literal), and the rules of a group fire together, as one join a round.
+# The group's template carries every variable that some member's head reads;
+# a rule whose head does not read one gives it weight 0 in its head key, so
+# each rule still gets its own join rows and clauses, only with a column it
+# does not use.  A group's template, its join order and key weights, is
+# built on its first firing; relation ids and constants are data, one static
+# key part per rule and step, and the join rows carry their rule's index in
+# the group.  The first step probes the delta with one key per rule.  Every
+# later step packs each row's bound arguments into one exact key (int64, or
+# Python ints where that could overflow), finds it in a sorted key index of
+# the facts that the step reads, built on first use in a round, and expands
+# the rows by their matches with ``np.repeat``.  The index already leaves out
+# facts that break a repeated variable.  A head key
 # is a per-rule base plus each head variable times a per-rule weight, so one
 # pass projects heads over any relation, with constants and repeated
 # variables.  A pair whose join is empty for sure is not fired: one test a
@@ -293,11 +298,12 @@ class Problem(NamedTuple):
 # raise that value.  Any batching of the joins gives the same arrays, since
 # ``grounding`` sorts the clauses.
 #
-# A join step whose rows, summed over the group's rules, would pass
-# ``CLAUSE_BUDGET``, or a clause total past it, raises ``GroundingBudgetError``
-# before the rows exist.  The output alone takes 40 bytes a clause; the
-# samegen pool over a 30-fact binary tree, 10.2 M clauses, grounds in about
-# 0.6 GB.
+# A join step whose rows, summed over the group's rules that fire in that
+# round (whatever their heads read), would pass ``CLAUSE_BUDGET``, or a
+# clause total past it, raises ``GroundingBudgetError`` before the rows
+# exist, with that sum as its ``count``.  The output alone takes 40 bytes a
+# clause; the samegen pool over a 30-fact binary tree, 10.2 M clauses,
+# grounds in about 0.6 GB.
 
 CLAUSE_BUDGET = 16_000_000
 
@@ -383,7 +389,7 @@ class _Step(NamedTuple):
     new: tuple[tuple[int, int], ...]    # (position, variable) of each new variable read later
 
 
-def _template(body: _Shape, delta: int, head: frozenset[int]) -> tuple[_Step, ...]:
+def _template(body: _Shape, delta: int, head: Iterable[int]) -> tuple[_Step, ...]:
     """Join ``body`` from its delta literal, then most-bound literal first.
 
     Constants are bound from the start.  A variable is carried past a step
@@ -422,21 +428,23 @@ def _template(body: _Shape, delta: int, head: frozenset[int]) -> tuple[_Step, ..
 
 
 class _Group:
-    """The rules that share one (body shape, delta literal, head variables) key.
+    """The rules that share one (body shape, delta literal) key.
 
-    Built on the group's first firing: the template ``steps``; ``first``, each
-    rule's probe of the delta, its relation id and constants; per later step,
-    the static key part (relation id and constants) of each rule, the
-    (variable, weight) terms of the bound variables and whether the keys are
-    Python ints; ``at``, the join step of each body literal; and the head key's
-    base and per-variable weights.  A part that every rule shares is one value.
+    Built on the group's first firing: the template ``steps``, which carries
+    every variable that some member's head reads; ``first``, each rule's
+    probe of the delta, its relation id and constants; per later step, the
+    static key part (relation id and constants) of each rule, the (variable,
+    weight) terms of the bound variables and whether the keys are Python
+    ints; ``at``, the join step of each body literal; and the head key's base
+    and per-variable weights, 0 for a variable that a rule's head does not
+    read.  A part that every rule shares is one value.
     """
 
-    __slots__ = ("members", "body", "delta", "head", "steps", "first", "keys", "at",
+    __slots__ = ("members", "body", "delta", "steps", "first", "keys", "at",
                  "head_base", "head_terms")
 
-    def __init__(self, body: _Shape, delta: int, head: frozenset[int], members: np.ndarray):
-        self.body, self.delta, self.head = body, delta, head
+    def __init__(self, body: _Shape, delta: int, members: np.ndarray):
+        self.body, self.delta = body, delta
         self.members = members  # rule positions
         self.steps: tuple[_Step, ...] = ()
 
@@ -446,15 +454,24 @@ class _Kernel:
 
     def __init__(self, rules: Iterable[Rule], input: Database):
         self.rules = tuple(rules)
-        atoms = [a for r in self.rules for a in (r.head, *r.body)]
-        self.names = sorted({f.relation for f in input.facts()} | {a.relation for a in atoms})
+        # one arity per relation: the input's, else its first atom's
+        arity = {}
+        for name, tuples in input.tuples.items():
+            lengths = sorted({len(f.args) for f in tuples})
+            if len(lengths) > 1:
+                raise SemanticError(f"input relation {name} has facts of arities {lengths}")
+            arity[name] = lengths[0]
+        for rule in self.rules:
+            for atom in (rule.head, *rule.body):
+                if arity.setdefault(atom.relation, len(atom.args)) != len(atom.args):
+                    raise SemanticError(f"rule {rule.id}: {atom.relation} expects "
+                                        f"{arity[atom.relation]} args, got {len(atom.args)}")
+        self.names = sorted(arity)
         rel_id = {name: i for i, name in enumerate(self.names)}
         self.constants = sorted({c for f in input.facts() for c in f.args}
-                                | {t.value for a in atoms for t in a.args if isinstance(t, Const)})
+                                | {t.value for r in self.rules for a in (r.head, *r.body)
+                                   for t in a.args if isinstance(t, Const)})
         const_id = {c: i for i, c in enumerate(self.constants)}
-        arity = {name: len(tuples[0].args) for name, tuples in input.tuples.items()}
-        for atom in atoms:
-            arity.setdefault(atom.relation, len(atom.args))
         self.arity = [arity[name] for name in self.names]
         self.width = max(self.arity, default=1)
         self.radix = max(len(self.constants), len(self.names), 1)
@@ -494,9 +511,9 @@ class _Kernel:
             self.rels.append(tuple(rels))
             self.consts.append(consts)
             self.heads.append((base, coef))
-            shape, head = tuple(body), frozenset(coef)
+            shape = tuple(body)
             for d in range(len(body)):
-                groups.setdefault((shape, d, head), []).append(r)
+                groups.setdefault((shape, d), []).append(r)
 
         # the pairs, group by group: each literal's relation and the facts it
         # must find, past the end of a body a relation that always has facts
@@ -559,8 +576,9 @@ class _Kernel:
 
     def _build(self, group: _Group) -> None:
         """The group's template and, per step and for its head, each rule's key parts."""
-        group.steps = _template(group.body, group.delta, group.head)
         members = group.members.tolist()
+        head = sorted(set().union(*(self.heads[r][1] for r in members)))
+        group.steps = _template(group.body, group.delta, head)
         # the constants' order in ``self.consts``: body order
         slot = {}
         for i, literal in enumerate(group.body):
@@ -588,8 +606,8 @@ class _Kernel:
                 group.keys.append((_per_rule(static, wide), tuple(terms), wide))
         group.at = tuple(map([s.literal for s in group.steps].index, range(len(group.body))))
         group.head_base = _per_rule([self.heads[r][0] for r in members], self.wide)
-        group.head_terms = tuple((v, _per_rule([self.heads[r][1][v] for r in members],
-                                               self.wide)) for v in sorted(group.head))
+        group.head_terms = tuple((v, _per_rule([self.heads[r][1].get(v, 0) for r in members],
+                                               self.wide)) for v in head)
 
     def _lookup(self, step: _Step) -> tuple[np.ndarray, np.ndarray]:
         """The sorted keys, relation id then the arguments at ``step.positions``,
@@ -888,34 +906,45 @@ def _error(text: str, pos: int, expected: str, path, lineno: int) -> ParseError:
     return ParseError(f"unexpected token {token!r}", path, lineno, column)
 
 
-def _atom(text: str, pos: int, path, lineno: int) -> tuple[Atom, int]:
+def _atom(text: str, pos: int, path, lineno: int, atoms: dict[str, Atom]) -> tuple[Atom, int]:
+    """The atom at ``pos`` and the position past it.  ``atoms`` maps the text
+    of each atom read so far, name through ``)``, to its ``Atom``."""
     m = _ATOM_RE.match(text, pos)
     if m is None:
         raise _error(text, pos, "token", path, lineno)
     if m["close"] is None:
         expected = "argument" if text[m.end() - 1] in "(," else "token"
         raise _error(text, m.end(), expected, path, lineno)
-    # lowercase/underscore-initial identifiers are variables; others constants
-    args = tuple(Const(quoted) if not ident
-                 else ident if ident[0].islower() or ident[0] == "_" else Const(ident)
-                 for ident, quoted in _ARGS_RE.findall(text, m.end(1), m.end()))
-    return Atom(m[1], args), m.end()
+    key = text[m.start(1):m.end()]
+    atom = atoms.get(key)
+    if atom is None:
+        # lowercase/underscore-initial identifiers are variables; others constants
+        args = tuple(Const(quoted) if not ident
+                     else ident if ident[0].islower() or ident[0] == "_" else Const(ident)
+                     for ident, quoted in _ARGS_RE.findall(text, m.end(1), m.end()))
+        atom = atoms[key] = Atom(m[1], args)
+    return atom, m.end()
 
 
-def parse_rule_line(text: str, default_id: str, path=None, lineno: int = 0) -> Rule:
-    """The rule on one line; ``default_id`` unless it has a ``name:`` prefix."""
+def parse_rule_line(text: str, default_id: str, path=None, lineno: int = 0,
+                    atoms: dict[str, Atom] | None = None) -> Rule:
+    """The rule on one line; ``default_id`` unless it has a ``name:`` prefix.
+    ``atoms``, shared across the lines of a file, reads each distinct atom
+    text once."""
+    if atoms is None:
+        atoms = {}
     rule_id, pos = default_id, 0
     m = _NAME_RE.match(text)
     if m is not None:
         rule_id, pos = m[1], m.end()
-    head, pos = _atom(text, pos, path, lineno)
+    head, pos = _atom(text, pos, path, lineno, atoms)
     body, separators = [], (":-",)
     while (m := _SEP_RE.match(text, pos)) is not None and m[1] in separators:
         if m[1] == ".":
             if _END_RE.match(text, m.end()) is None:
                 raise _error(text, m.end(), "end", path, lineno)
             return Rule(rule_id, head, tuple(body))
-        atom, pos = _atom(text, m.end(), path, lineno)
+        atom, pos = _atom(text, m.end(), path, lineno, atoms)
         body.append(atom)
         separators = (",", ".")
     raise _error(text, pos, "token", path, lineno)
@@ -924,9 +953,10 @@ def parse_rule_line(text: str, default_id: str, path=None, lineno: int = 0) -> R
 def parse_rules(text: str, path=None) -> list[Rule]:
     """One rule per line, ``r<line>`` unless named, ids unique; skips blanks and comments."""
     rules: dict[str, Rule] = {}
+    atoms: dict[str, Atom] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if _END_RE.match(line) is None:
-            rule = parse_rule_line(line, f"r{lineno}", path, lineno)
+            rule = parse_rule_line(line, f"r{lineno}", path, lineno, atoms)
             if rule.id in rules:
                 raise ParseError(f"duplicate rule id {rule.id}", path, lineno)
             rules[rule.id] = rule

@@ -46,8 +46,9 @@ def instances(draw) -> Problem:
 def shared_shapes(draw) -> Problem:
     """A pool of a few body shapes, each with several rules that differ in
     their relation names, body and head constants and head projection, with
-    repeated head variables, over relations of arity 1-3.  The rules of one
-    shape read the same head variables, so they ground as one join."""
+    repeated head variables, over relations of arity 1-3.  Each rule draws
+    its own head variables from its shape's variables, and the rules of one
+    shape still ground as one join per delta literal."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     constants = [f"k{i}" for i in range(rng.randint(1, 3))]
     decls = {f"{kind[0]}{arity}{s}": RelationDecl(f"{kind[0]}{arity}{s}", arity, kind)
@@ -68,8 +69,8 @@ def shared_shapes(draw) -> Problem:
         body = [[-1 if rng.random() < 0.2 else rng.randrange(n_vars)
                  for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 3))]
         used = sorted({v for literal in body for v in literal if v >= 0})
-        head = rng.sample(used, rng.randint(0, len(used)))
         for k in range(rng.randint(2, 5)):
+            head = rng.sample(used, rng.randint(0, len(used)))
             # mostly input relations, so that several rules of a group find facts
             atoms = tuple(Atom(rng.choice([d for d in (inputs if rng.random() < 0.7 else outputs)
                                            if d.arity == len(literal)]).name,

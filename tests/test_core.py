@@ -1,5 +1,6 @@
 """Data model, parsing, grounding, and Boolean fixpoint tests."""
 
+import functools
 import re
 import tempfile
 from dataclasses import make_dataclass
@@ -392,6 +393,73 @@ def test_parse_error_names_the_bad_character_and_its_column():
         parse_rules("r1: q(x) :- p(x).\n  q(x) :- p(x) ; p(y).\n", "rules.dl")
     assert str(info.value) == "rules.dl:2:16: unexpected character ';'"
     assert (info.value.line, info.value.column) == (2, 16)
+
+
+def per_line_outcome(text: str):
+    """``parse_rules``' result by ``parse_rule_line`` on each line alone, or
+    the error's message, line and column."""
+    rules = {}
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if line.strip(" \t") and not line.lstrip(" \t").startswith("#"):
+                rule = parse_rule_line(line, f"r{lineno}", "rules.dl", lineno)
+                if rule.id in rules:
+                    raise ParseError(f"duplicate rule id {rule.id}", "rules.dl", lineno)
+                rules[rule.id] = rule
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    return list(rules.values())
+
+
+def test_parse_rules_reads_a_repeated_atom_like_each_line_alone():
+    """``parse_rules`` reads each distinct atom text once per file: an atom
+    written with other spacing, and ``p(A)`` next to ``p("A")``, read as the
+    lines do alone, and a bad line after them keeps its message and column."""
+    text = ("q(x) :- p(x,y), e(y).\n"
+            "q(x) :- p( x ,\ty ) ,e(y).\n"
+            "q(x) :- p(A), e(x).\n"
+            'q(x) :- p("A"), e(x).\n')
+    rules = parse_rules(text, "rules.dl")
+    assert rules == per_line_outcome(text)
+    assert rules[0].body == rules[1].body
+    assert rules[2].body[0] == rules[3].body[0] == Atom("p", (Const("A"),))
+    for bad in ("q(x) :- p(x,y)), e(y).", "q(x) :- p(A), e(x) p(A).", 'q(x) :- p("A",), e(x).'):
+        assert outcome(lambda t: parse_rules(t, "rules.dl"), text + bad) == \
+            per_line_outcome(text + bad) == \
+            outcome(lambda t: parse_rule_line(t, "r5", "rules.dl", 5), bad)
+
+
+@functools.cache
+def golden_rule_lines() -> list[str]:
+    problems = Path(__file__).resolve().parents[1] / "problems"
+    return [line for name in ("samegen", "andersen")
+            for line in (problems / name / "rules.dl").read_text().splitlines()]
+
+
+@st.composite
+def mutated_rule_files(draw) -> str:
+    """Lines of the golden pools, some unnamed, some with a character put in
+    or taken out, with blanks and comments between them."""
+    golden = golden_rule_lines()
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        line = draw(st.sampled_from(golden + ["", "  # note"]))
+        if draw(st.booleans()):
+            line = line.split(": ", 1)[-1]
+        for _ in range(draw(st.sampled_from((0,) * 8 + (1, 2)))):
+            at = draw(st.integers(0, len(line)))
+            if draw(st.booleans()):
+                line = line[:at] + draw(st.sampled_from(list(' \t,()":-.#xA_!'))) + line[at:]
+            else:
+                line = line[:at] + line[at + 1:]
+        lines.append(line)
+    return "\n".join(lines)
+
+
+@SETTINGS
+@given(mutated_rule_files())
+def test_parse_rules_matches_each_line_alone_on_mutated_golden_files(text):
+    assert outcome(lambda t: parse_rules(t, "rules.dl"), text) == per_line_outcome(text)
 
 
 def test_parse_rules_skips_comments_and_blanks():

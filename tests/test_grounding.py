@@ -13,6 +13,7 @@ hash, and a clause budget stops a grounding that grows past it.
 
 import hashlib
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -22,9 +23,9 @@ from hypothesis import given, strategies as st
 
 from difflog import core
 from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
-                          GroundingBudgetError, ProblemError, RelationDecl,
-                          Rule, boolean_fixpoint, check_solution, ground,
-                          parse_problem, validate_rule)
+                          GroundingBudgetError, LabelSet, ProblemError,
+                          RelationDecl, Rule, SemanticError, boolean_fixpoint,
+                          check_solution, ground, parse_problem, validate_rule)
 from difflog.testkit import (ground_clauses, naive_fixpoint, naive_ground,
                              random_weights)
 from difflog.viterbi import Evaluator
@@ -220,6 +221,50 @@ def test_rules_of_one_body_shape_ground_like_the_naive_oracle(problem, rng):
                dict.fromkeys(ids, 1.0)]
     assert_matches_oracle(problem.rules, problem.input,
                           oracle_arrays(problem.rules, problem.input), weights)
+
+
+@pytest.mark.parametrize("name, counts", [("samegen", (93, 62, 83)),
+                                          ("andersen", (81, 81, 185))])
+def test_kernel_groups_pairs_by_body_shape_and_delta_literal(name, counts, monkeypatch):
+    """The groups, those built, and the firings of the golden pools.  Rules
+    of one body shape share a group even where their heads read different
+    variables, as on samegen."""
+    problem = parse_problem(PROBLEMS / name)
+    firings = []
+    fire = core._Kernel._fire
+    monkeypatch.setattr(core._Kernel, "_fire",
+                        lambda self, group, live: (firings.append(group), fire(self, group, live)))
+    kernel = core._Kernel(problem.rules, problem.input)
+    assert (len(kernel.groups), sum(bool(g.steps) for g in kernel.groups), len(firings)) == counts
+    mixed = [g for g in kernel.groups
+             if len({frozenset(kernel.heads[r][1]) for r in g.members.tolist()}) > 1]
+    assert bool(mixed) == (name == "samegen")
+
+
+_E = Database([Fact("e", ("a", "b")), Fact("e", ("b", "c"))])
+
+
+def _rule(rule_id: str, head: tuple, *body: tuple) -> Rule:
+    return Rule(rule_id, Atom(head[0], head[1:]), tuple(Atom(a[0], a[1:]) for a in body))
+
+
+@pytest.mark.parametrize("rules, input, message", [
+    ([_rule("r1", ("p", "x"), ("e", "x"))], _E, "rule r1: e expects 2 args, got 1"),
+    ([_rule("r2", ("q", "x", "y", "z"), ("e", "x", "y", "z"))], _E,
+     "rule r2: e expects 2 args, got 3"),
+    ([_rule("r3", ("p", "x", "y"), ("e", "x", "y")), _rule("r4", ("q", "x"), ("p", "x"))], _E,
+     "rule r4: p expects 2 args, got 1"),
+    ([_rule("r5", ("p", "x"), ("e", "x", "y"))],
+     Database([Fact("e", ("a", "b")), Fact("e", ("c",))]),
+     "input relation e has facts of arities [1, 2]"),
+], ids=["narrow_body_atom", "wide_body_atom", "two_atoms_of_p", "input_at_two_arities"])
+@pytest.mark.parametrize("entry", [
+    ground, boolean_fixpoint, Evaluator,
+    lambda rules, input: check_solution(rules, input, LabelSet(frozenset(), frozenset()))],
+    ids=["ground", "boolean_fixpoint", "Evaluator", "check_solution"])
+def test_kernel_rejects_a_relation_used_at_two_arities(entry, rules, input, message):
+    with pytest.raises(SemanticError, match=re.escape(message)):
+        entry(rules, input)
 
 
 def test_head_constant_absent_from_input():
