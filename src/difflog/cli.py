@@ -210,9 +210,10 @@ def cmd_bench(args) -> int:
             print(f"{name}\t{len(problem.relations)}\t{len(report.winner)}"
                   f"\t{len(problem.rules)}\t{len(problem.input)}\t{n_labels}"
                   f"\t{best.iterations}\t{best.samplings}\t{elapsed:.2f}")
-        else:
+        else:  # some seed ran out of time, or every seed out of iterations
             print(f"{name}\t{len(problem.relations)}\t-\t{len(problem.rules)}"
-                  f"\t{len(problem.input)}\t{n_labels}\t-\t-\ttimeout")
+                  f"\t{len(problem.input)}\t{n_labels}\t-\t-"
+                  f"\t{'timeout' if report.timeouts else 'exhausted'}")
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ no arithmetic, and every head variable must occur in the body (range
 restriction); each relation has one arity, in the input and in every rule.
 One semi-naive kernel grounds a rule set with numpy sort-merge joins over
 one interned fact table, and fires the rules that share a body shape as one
-join per delta literal, whatever their heads read: it derives the least
+join per delta literal, whatever their heads read: one loop over the body,
+the delta literal first, from one row per rule.  It derives the least
 fixpoint and emits, in one pass, every ground clause over it except
 self-loops, which never raise their conclusion, as the arrays that weighted
 evaluation runs on.  A join that is empty for sure is skipped, and a
@@ -278,19 +279,23 @@ class Problem(NamedTuple):
 # a rule whose head does not read one gives it weight 0 in its head key, so
 # each rule still gets its own join rows and clauses, only with a column it
 # does not use.  A group's template, its join order and key weights, is
-# built on its first firing; relation ids and constants are data, one static
-# key part per rule and step, and the join rows carry their rule's index in
-# the group.  The first step probes the delta with one key per rule.  Every
-# later step packs each row's bound arguments into one exact key (int64, or
-# Python ints where that could overflow), finds it in a sorted key index of
-# the facts that the step reads, built on first use in a round, and expands
-# the rows by their matches with ``np.repeat``.  The index already leaves out
-# facts that break a repeated variable.  A head key
-# is a per-rule base plus each head variable times a per-rule weight, so one
-# pass projects heads over any relation, with constants and repeated
-# variables.  A pair whose join is empty for sure is not fired: one test a
-# round over all pairs finds those with a literal left of the delta over a
-# relation without old facts, or any literal over one without facts.
+# built on its first firing; relation ids and constants are data, an array
+# of each rule's static key part per step, and every join row carries its
+# rule's index in the group.  A firing starts from one row per rule that
+# fires, with nothing bound, and runs every step, the delta literal first,
+# the same way: it adds each row's bound arguments to its rule's static part
+# as one exact key (int64, or Python ints where that could overflow), finds
+# it in a sorted key index of the facts that the step reads, built on first
+# use in a round, and expands the rows by their matches: the rule index, the
+# carried bindings and the antecedents with ``np.repeat``, the matched facts
+# by their index positions.  On the delta literal nothing is bound yet, so
+# the key is the static part alone.  The index already leaves out facts that
+# break a repeated variable.  A head key is a per-rule base plus each head
+# variable times a per-rule weight, so one pass projects heads over any
+# relation, with constants and repeated variables.  A pair whose join is
+# empty for sure is not fired: one test a round over all pairs finds those
+# with a literal left of the delta over a relation without old facts, or any
+# literal over one without facts.
 # Conclusions are looked up among the known facts as they fire; the new ones
 # get fact ids at the end of the round, one per unique key.  A self-loop, a
 # clause whose conclusion is also an antecedent, is dropped as it fires: its
@@ -319,15 +324,15 @@ class GroundingBudgetError(ProblemError):
         self.count = count
 
 
-def _pack(columns: Sequence, radix: int, n: int) -> np.ndarray:
-    """Exact keys of ``n`` rows whose values at ``columns`` (arrays, or one int
-    for every row) lie in [0, radix): mixed radix, so keys sort like the rows.
-    int64 while ``radix ** len(columns)`` fits in it, else Python ints."""
+def _pack(columns: Sequence[np.ndarray], radix: int, n: int) -> np.ndarray:
+    """Exact keys of ``n`` rows whose values at ``columns`` lie in [0, radix):
+    mixed radix, so keys sort like the rows.  int64 while
+    ``radix ** len(columns)`` fits in it, else Python ints."""
     wide = radix ** len(columns) > 2 ** 63
     key = np.zeros(n, dtype=object if wide else np.int64)
     for col in columns:
         key *= radix
-        key += col.astype(object) if wide and isinstance(col, np.ndarray) else col
+        key += col.astype(object) if wide else col
     return key
 
 
@@ -341,33 +346,22 @@ def _unpack(keys: np.ndarray, radix: int, width: int) -> np.ndarray:
     return args
 
 
-def _sum(base, terms: Iterable[tuple[np.ndarray, object]], n: int, wide: bool) -> np.ndarray:
-    """``base + sum(column * weight)`` over ``n`` rows: a ``_pack`` key as its
-    mixed-radix sum.  ``base`` and each weight are one value for every row or
-    one per row; Python ints where ``wide``."""
-    key = None
+def _sum(base: np.ndarray, terms: Iterable[tuple[np.ndarray, object]], wide: bool) -> np.ndarray:
+    """``base + sum(column * weight)``, one value per row of ``base``: a ``_pack``
+    key as its mixed-radix sum, and ``base`` itself where there are no terms.
+    A weight is one value for every row or one per row; Python ints where
+    ``wide``."""
+    key = base
     for col, weight in terms:
         term = (col.astype(object) if wide else col) * weight
-        if key is None:
-            key = term
-        else:
-            key += term
-    if key is None:
-        key = np.zeros(n, dtype=object if wide else np.int64)
-    key += base
+        term += key
+        key = term
     return key
 
 
-def _per_rule(values: list[int], wide: bool):
-    """One value for every rule where they agree, else an array by rule."""
-    if values.count(values[0]) == len(values):
-        return values[0] if wide else np.int64(values[0])
+def _per_rule(values: list[int], wide: bool) -> np.ndarray:
+    """One value per rule of a group, as an array to index by each row's rule."""
     return np.array(values, dtype=object if wide else np.int64)
-
-
-def _of(values, rule):
-    """The value of ``rule`` (an index, or one per row) in ``_per_rule``'s ``values``."""
-    return values[rule] if isinstance(values, np.ndarray) else values
 
 
 def _spread(lo: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
@@ -430,18 +424,17 @@ def _template(body: _Shape, delta: int, head: Iterable[int]) -> tuple[_Step, ...
 class _Group:
     """The rules that share one (body shape, delta literal) key.
 
-    Built on the group's first firing: the template ``steps``, which carries
-    every variable that some member's head reads; ``first``, each rule's
-    probe of the delta, its relation id and constants; per later step, the
-    static key part (relation id and constants) of each rule, the (variable,
-    weight) terms of the bound variables and whether the keys are Python
-    ints; ``at``, the join step of each body literal; and the head key's base
-    and per-variable weights, 0 for a variable that a rule's head does not
-    read.  A part that every rule shares is one value.
+    Built on the group's first firing: the template ``steps``, the delta
+    literal first, which carries every variable that some member's head
+    reads; per step ``keys``, an array of each rule's static key part
+    (relation id and constants), the (variable, weight) terms of the bound
+    variables, none on the delta literal, and whether the keys are Python
+    ints; ``at``, the join step of each body literal; and the head key's
+    array of bases by rule and, per head variable, its array of weights by
+    rule, 0 for a rule whose head does not read it.
     """
 
-    __slots__ = ("members", "body", "delta", "steps", "first", "keys", "at",
-                 "head_base", "head_terms")
+    __slots__ = ("members", "body", "delta", "steps", "keys", "at", "head_base", "head_terms")
 
     def __init__(self, body: _Shape, delta: int, members: np.ndarray):
         self.body, self.delta = body, delta
@@ -555,8 +548,8 @@ class _Kernel:
         self.count_old[pad] = 1
         self.count_all = self.count_old + np.bincount(self.rel, minlength=pad + 1)
 
-        # chunks of clauses: (rule positions, rule index or one per clause,
-        # conclusions, antecedents in body order)
+        # chunks of clauses: (the group's rule positions, each clause's index
+        # among them, conclusions, antecedents in body order)
         self.chunks: list[tuple] = []
         self.n_clauses = 0
         self._index: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -600,10 +593,7 @@ class _Kernel:
                 k = slot[step.literal, p]
                 for m, r in enumerate(members):
                     static[m] += self.consts[r][k] * weight[c]
-            if step is group.steps[0]:
-                group.first = np.array(static, dtype=object if wide else np.int64)
-            else:
-                group.keys.append((_per_rule(static, wide), tuple(terms), wide))
+            group.keys.append((_per_rule(static, wide), tuple(terms), wide))
         group.at = tuple(map([s.literal for s in group.steps].index, range(len(group.body))))
         group.head_base = _per_rule([self.heads[r][0] for r in members], self.wide)
         group.head_terms = tuple((v, _per_rule([self.heads[r][1].get(v, 0) for r in members],
@@ -630,31 +620,11 @@ class _Kernel:
         """Join the rules ``live`` of ``group`` (indices among its members) once."""
         if not group.steps:
             self._build(group)
-        first, *steps = group.steps
-        # the delta literal comes first: one probe per rule, its relation and constants
-        keys, rows = self._lookup(first)
-        probe = group.first[live]
-        lo = keys.searchsorted(probe)
-        counts = keys.searchsorted(probe, "right") - lo
-        total = int(counts.sum())
-        if total > CLAUSE_BUDGET:
-            raise GroundingBudgetError(total, CLAUSE_BUDGET)
-        if not total:
-            return
-        hit = counts.nonzero()[0] if len(live) > 1 else (0,)
-        if len(hit) == 1:  # one rule: its matches are one slice, and rule is a scalar
-            rule = int(live[hit[0]])
-            start = int(lo[hit[0]])
-            rows = rows[start:start + total]
-        else:
-            rule = live.repeat(counts)
-            rows = rows[_spread(lo, counts, total)]
-        binding = {v: self.args[p][rows] for p, v in first.new}
-        ants = [rows.astype(np.int32)]  # fact ids, one column per join step
-        n = total
-        for step, (static, terms, wide) in zip(steps, group.keys):
+        # one row per rule to start, with no bindings and no antecedents yet
+        rule, binding, ants = live, {}, []
+        for step, (static, terms, wide) in zip(group.steps, group.keys):
             keys, rows = self._lookup(step)
-            probe = _sum(_of(static, rule), [(binding[v], w) for v, w in terms], n, wide)
+            probe = _sum(static[rule], [(binding[v], w) for v, w in terms], wide)
             lo = keys.searchsorted(probe)
             counts = keys.searchsorted(probe, "right") - lo
             total = int(counts.sum())
@@ -663,18 +633,15 @@ class _Kernel:
             if not total:
                 return
             # row i matches rows[lo[i]:lo[i] + counts[i]]
-            take = np.arange(n).repeat(counts)
             rows = rows[_spread(lo, counts, total)]
-            binding = {**{v: binding[v][take] for v in step.carry},
+            binding = {**{v: binding[v].repeat(counts) for v in step.carry},
                        **{v: self.args[p][rows] for p, v in step.new}}
-            ants = [a[take] for a in ants]
+            ants = [a.repeat(counts) for a in ants]
             ants.append(rows.astype(np.int32))
-            if isinstance(rule, np.ndarray):
-                rule = rule[take]
-            n = total
+            rule = rule.repeat(counts)
 
-        key = _sum(_of(group.head_base, rule),
-                   [(binding[v], _of(weight, rule)) for v, weight in group.head_terms], n, self.wide)
+        key = _sum(group.head_base[rule],
+                   [(binding[v], weight[rule]) for v, weight in group.head_terms], self.wide)
         at = self.known_keys.searchsorted(key)
         np.minimum(at, self.n - 1, out=at)
         # -1 until a new conclusion gets its id
@@ -683,9 +650,7 @@ class _Kernel:
         for a in ants[1:]:
             keep &= a != concl
         if not keep.all():
-            concl, key, ants = concl[keep], key[keep], [a[keep] for a in ants]
-            if isinstance(rule, np.ndarray):
-                rule = rule[keep]
+            concl, key, rule, ants = concl[keep], key[keep], rule[keep], [a[keep] for a in ants]
             if not len(concl):
                 return
         self.n_clauses += len(concl)

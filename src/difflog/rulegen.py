@@ -89,8 +89,9 @@ def _is_well_formed(rule: Rule, decls: Mapping[str, RelationDecl]) -> bool:
 
 
 def chain_seeds(decls: Mapping[str, RelationDecl], max_body_len: int,
-                allow_recursion: bool = True) -> list[Rule]:
-    """All chain rules with binary heads and bodies up to the given length."""
+                allow_recursion: bool = True, cap: int = DEFAULT_CAP) -> list[Rule]:
+    """All chain rules with binary heads and bodies up to the given length;
+    GenerationOverflow as soon as there are more than ``cap`` of them."""
     if max_body_len < 1:
         return []
     heads = [d for d in decls.values() if d.kind == OUTPUT and d.arity == 2]
@@ -104,6 +105,8 @@ def chain_seeds(decls: Mapping[str, RelationDecl], max_body_len: int,
                 body = tuple(Atom(rel, (vars_[i], vars_[i + 1])) for i, rel in enumerate(rels))
                 rule = canonicalize(Rule("seed", Atom(head.name, ("x", "y")), body))
                 seen.setdefault(_key(rule.head, rule.body), rule)
+                if len(seen) > cap:
+                    raise GenerationOverflow(len(seen), cap)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -161,7 +164,9 @@ def _single_edits(rule: Rule, decls: Mapping[str, RelationDecl],
 def augment(seeds: Iterable[Rule], k: int, decls: Mapping[str, RelationDecl],
             max_body_len: int | None = None, allow_recursion: bool = True,
             cap: int = DEFAULT_CAP) -> list[Rule]:
-    """Close the seed set under up to k single edits; well-formed rules only."""
+    """Close the seed set under up to k single edits; well-formed rules only.
+    GenerationOverflow as soon as there are more than ``cap`` rules, seeds
+    included."""
     seen: dict[tuple, Rule] = {}
     frontier: list[Rule] = []
     for seed in seeds:
@@ -170,6 +175,8 @@ def augment(seeds: Iterable[Rule], k: int, decls: Mapping[str, RelationDecl],
         if key not in seen and _is_well_formed(c, decls):
             seen[key] = c
             frontier.append(c)
+            if len(seen) > cap:
+                raise GenerationOverflow(len(seen), cap)
     for _ in range(k):
         next_frontier: list[Rule] = []
         for rule in frontier:
@@ -193,7 +200,7 @@ def augment(seeds: Iterable[Rule], k: int, decls: Mapping[str, RelationDecl],
 def generate(decls: Mapping[str, RelationDecl], config: GenConfig) -> CandidateRuleSet:
     """Chain seeds plus k-augmentation, with stable ids r1..rN in canonical order;
     ProblemError naming every output relation that no candidate rule derives."""
-    seeds = chain_seeds(decls, config.max_body_len, config.allow_recursion)
+    seeds = chain_seeds(decls, config.max_body_len, config.allow_recursion, config.cap)
     rules = augment(seeds, config.k, decls, max_body_len=config.max_body_len,
                     allow_recursion=config.allow_recursion, cap=config.cap)
     heads = {r.head.relation for r in rules}

@@ -153,11 +153,14 @@ Clause3 = Sequence[int]  # three nonzero DIMACS-style literals
 
 
 def parse_dimacs(text: str) -> list[tuple[int, int, int]]:
-    """Read a DIMACS CNF file; every clause must have exactly three literals."""
+    """Read a DIMACS CNF file; every clause must have exactly three literals.
+    A ``%`` line ends the formula, as in SATLIB's trailer ``%`` then ``0``."""
     clauses = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith(("c", "p", "%")):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith(("c", "p")):
             continue
         try:
             literals = [int(tok) for tok in line.split()]

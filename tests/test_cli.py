@@ -133,6 +133,20 @@ def test_gen_rules_cap(family_dir, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap, code", [(5, EXIT_BAD_INPUT), (83, EXIT_BAD_INPUT), (84, EXIT_OK)])
+def test_gen_rules_cap_bounds_the_seeds(tmp_path, capsys, cap, code):
+    # --k 0 makes no edit, so only the 84 seeds can pass the cap
+    (tmp_path / "relations.txt").write_text("input a 2\ninput b 2\ninput c 2\noutput p 2\n")
+    assert main(["gen-rules", "--problem", str(tmp_path), "--max-body-len", "3",
+                 "--k", "0", "--cap", str(cap)]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert "wrote 84 rules" in captured.out
+    else:
+        assert no_traceback_error(captured.err) and f"> {cap}" in captured.err
+        assert not (tmp_path / "rules.dl").exists()
+
+
 @pytest.mark.parametrize("output", ["src 1", "tri 3"])
 def test_gen_rules_rejects_an_output_no_rule_derives(tmp_path, capsys, output):
     # chain seeds have binary heads, so a unary or ternary output gets no rule
@@ -154,6 +168,25 @@ def test_encode_3cnf_command(tmp_path, capsys):
     problem = parse_problem(out)
     assert len(problem.rules) == 9
     assert len(problem.labels.positive) == 3
+
+
+def test_encode_3cnf_reads_a_satlib_trailer(tmp_path, capsys):
+    cnf = tmp_path / "uf3.cnf"
+    cnf.write_text("c uf-series\np cnf 3 2\n 1 2 3 0\n-1 -2 3 0\n%\n0\n\n")
+    out = tmp_path / "encoded"
+    assert main(["encode-3cnf", str(cnf), "--out", str(out)]) == EXIT_OK
+    assert len(parse_problem(out).rules) == 9
+
+
+@pytest.mark.parametrize("flags, status", [
+    (["--max-iters", "1", "--timeout", "3600"], "exhausted"),
+    (["--max-iters", "1000", "--timeout", "0"], "timeout")])
+def test_bench_reports_why_a_problem_is_unsolved(tmp_path, capsys, flags, status):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{SAMEGEN}\n")
+    assert main(["bench", str(manifest), "--seeds", "2", *flags]) == EXIT_OK
+    row = capsys.readouterr().out.strip().splitlines()[1].split("\t")
+    assert row[0] == "samegen" and row[6:] == ["-", "-", status]
 
 
 def test_bench_table(family_dir, tmp_path, capsys):

@@ -90,6 +90,18 @@ def test_augment_cap_raises():
     assert err.value.count > err.value.cap == 100
 
 
+def test_seeds_count_against_the_cap():
+    # 84 distinct chain seeds of up to three literals over a, b, c and p
+    decls = parse_relations("input a 2\ninput b 2\ninput c 2\noutput p 2\n")
+    assert len(chain_seeds(decls, 3, cap=84)) == 84
+    with pytest.raises(GenerationOverflow) as err:
+        chain_seeds(decls, 3, cap=5)
+    assert (err.value.count, err.value.cap) == (6, 5)
+    with pytest.raises(GenerationOverflow) as err:
+        augment(chain_seeds(decls, 3), 0, decls, max_body_len=3, cap=5)
+    assert (err.value.count, err.value.cap) == (6, 5)
+
+
 def test_generate_assigns_stable_ids():
     decls = parse_relations(FAMILY)
     config = GenConfig(max_body_len=2, k=1)

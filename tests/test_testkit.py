@@ -43,6 +43,8 @@ def test_brute_force_matches_evaluate(family_rules, family_input):
 def test_parse_dimacs():
     clauses = parse_dimacs("c comment\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
     assert clauses == [(1, -2, 3), (-1, 2, -3)]
+    # SATLIB's uf-series trailer: a "%" line ends the formula
+    assert parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n%\n0\n\n") == clauses
     with pytest.raises(ProblemError):
         parse_dimacs("1 2 0\n")
     with pytest.raises(ProblemError):
