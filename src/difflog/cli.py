@@ -22,7 +22,7 @@ from typing import TextIO
 from .core import (ProblemError, parse_problem, parse_relations, read_text, write_problem,
                    write_rules)
 from .optimizer import SearchConfig, SearchOutcome, SearchRunner
-from .rulegen import GenConfig, generate
+from .rulegen import DEFAULT_CAP, GenConfig, generate
 from .testkit import encode_3cnf, parse_dimacs
 from .viterbi import Evaluator
 
@@ -135,7 +135,7 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     problem = parse_problem(args.problem, args.rules)
-    weights = {rid: 1.0 for rid in problem.rules.ids()}
+    weights = {}
     if args.weights:
         for lineno, raw in enumerate(read_text(args.weights).splitlines(), 1):
             line = raw.strip()
@@ -144,6 +144,8 @@ def cmd_eval(args) -> int:
             rid, _, value = line.partition("\t")
             if rid not in problem.rules:
                 raise ProblemError(f"{args.weights}:{lineno}: unknown rule id {rid}")
+            if rid in weights:
+                raise ProblemError(f"{args.weights}:{lineno}: duplicate weight for rule {rid}")
             try:
                 weight = float(value)
             except ValueError:
@@ -152,7 +154,8 @@ def cmd_eval(args) -> int:
             if not 0.0 <= weight <= 1.0:  # also rejects NaN
                 raise ProblemError(f"{args.weights}:{lineno}: weight {value} is not in [0, 1]")
             weights[rid] = weight
-    result = Evaluator(problem.rules, problem.input).evaluate(weights)
+    result = Evaluator(problem.rules, problem.input).evaluate(
+        {**dict.fromkeys(problem.rules.ids(), 1.0), **weights})
 
     lines = []
     for fact in result.derived.facts():
@@ -228,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float, default=3600.0,
                        help="per-instance timeout in seconds of search compute; "
                             "parsing and grounding are not counted")
-        p.add_argument("--max-iters", type=int, default=10_000)
-        p.add_argument("--mcmc-period", type=int, default=30)
+        p.add_argument("--max-iters", type=int, default=SearchConfig.max_iters)
+        p.add_argument("--mcmc-period", type=int, default=SearchConfig.mcmc_period)
         p.add_argument("--base-seed", type=int, default=0)
 
     p = sub.add_parser("synth", help="synthesize a program from a problem directory")
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--max-body-len", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=50_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--no-recursion", action="store_true")
     p.set_defaults(func=cmd_gen_rules)
 

@@ -75,11 +75,6 @@ def _key(head: Atom, body: tuple[Atom, ...]):
     return (head.relation, head.args, tuple((a.relation, a.args) for a in body))
 
 
-def _canonical_key(rule: Rule):
-    c = canonicalize(rule)
-    return _key(c.head, c.body)
-
-
 def _is_well_formed(rule: Rule, decls: Mapping[str, RelationDecl]) -> bool:
     try:
         validate_rule(rule, decls)

@@ -1,4 +1,11 @@
-"""Hypothesis strategies and array helpers shared by the property suites."""
+"""Hypothesis strategies, weights and the reference fixpoint shared by the property suites.
+
+``reference_fixpoint`` is the one slower evaluation that the differential
+suites compare ``viterbi.Evaluator`` against: clauses grouped by body
+length, a scatter max for the values and a scatter min for the
+lowest-index winner, every clause in every round.  It runs over any
+``core.Grounding``: ``core.ground``'s, or one that keeps the self-loops.
+"""
 
 import random
 
@@ -6,10 +13,14 @@ import numpy as np
 from hypothesis import settings, strategies as st
 
 from difflog.core import (INPUT, OUTPUT, Atom, CandidateRuleSet, Const, Database,
-                          Fact, LabelSet, Problem, RelationDecl, Rule, validate_rule)
+                          Fact, Grounding, LabelSet, Problem, RelationDecl, Rule, ground,
+                          validate_rule)
 from difflog.testkit import random_instance
+from difflog.viterbi import Evaluator
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def with_constants(problem: Problem, rng: random.Random) -> Problem:
@@ -95,3 +106,100 @@ def body_groups(cols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     lengths = (cols >= 0).sum(axis=0)
     return [(pos, cols[:k, pos].T) for k in range(1, len(cols) + 1)
             if len(pos := np.flatnonzero(lengths == k))]
+
+
+def reference_fixpoint(grounding: Grounding, wv: np.ndarray):
+    """Values, counts and rounds of the group-wise max-product fixpoint at the
+    weights ``wv`` (by rule position): a value per fact and a count column per
+    rule, each with a last zero row for the facts outside the grounding."""
+    n_facts, n_clauses = len(grounding.facts), len(grounding)
+    groups, concl, clause_rule = body_groups(grounding.cols), grounding.concl, grounding.rule
+    # each clause's group and row there locate its antecedents
+    cgroup = np.empty(n_clauses, dtype=np.int64)
+    crow = np.empty(n_clauses, dtype=np.int64)
+    for g, (pos, _) in enumerate(groups):
+        cgroup[pos] = g
+        crow[pos] = np.arange(len(pos))
+    u = np.zeros(n_facts + 1)
+    u[grounding.input_idx] = 1.0
+    counts = np.zeros((n_facts + 1, len(grounding.rule_ids)), dtype=np.int64)
+
+    vals = np.empty(n_clauses)
+    rounds = 0
+    while True:
+        rounds += 1
+        for pos, ante in groups:
+            group_vals = wv[clause_rule[pos]]
+            for j in range(ante.shape[1]):
+                group_vals = group_vals * u[ante[:, j]]
+            vals[pos] = group_vals
+        best = u.copy()
+        np.maximum.at(best, concl, vals)
+        changed = best > u
+        if not changed.any():
+            break
+        # the lowest-index clause attaining a changed fact's new value wins
+        attain = (vals == best[concl]) & changed[concl]
+        winner = np.full(n_facts + 1, n_clauses, dtype=np.int64)
+        np.minimum.at(winner, concl[attain], np.nonzero(attain)[0])
+        facts = np.nonzero(changed)[0]
+        wins = winner[facts]
+        # a winner's row: its rule once, plus its antecedents' rows of the last round
+        rows = np.zeros((len(facts), len(grounding.rule_ids)), dtype=np.int64)
+        rows[np.arange(len(facts)), clause_rule[wins]] = 1
+        won_groups = cgroup[wins]
+        for g, (_, ante) in enumerate(groups):
+            mine = np.flatnonzero(won_groups == g)
+            for column in ante[crow[wins[mine]]].T:
+                rows[mine] += counts[column]
+        counts[facts] = rows
+        u = best
+    return u, counts, rounds
+
+
+def provenance_view(grounding: Grounding, values: np.ndarray, counts: np.ndarray):
+    """``{fact: value}`` and ``{fact: {rule id: count}}`` of the facts with a
+    nonzero value, each fact's rules those with a nonzero count."""
+    value, provenance = {}, {}
+    for i in np.flatnonzero(values[:-1] > 0.0).tolist():
+        fact = grounding.facts[i]
+        value[fact] = float(values[i])
+        provenance[fact] = {grounding.rule_ids[r]: int(counts[i, r])
+                            for r in np.flatnonzero(counts[i]).tolist()}
+    return value, provenance
+
+
+def assert_matches_reference(rules, input: Database, weights) -> Evaluator:
+    """``Evaluator.evaluate`` at each weight vector equals ``reference_fixpoint``
+    over ``core.ground``'s clauses: values bitwise, counts and rounds equal."""
+    ev = Evaluator(rules, input)
+    grounding = ground(ev.rules, input)
+    results = []
+    for wv in weights:
+        result = ev.evaluate(wv)
+        values, counts, rounds = reference_fixpoint(grounding, np.asarray(wv, dtype=np.float64))
+        assert result.values.tobytes() == values.tobytes()
+        # the result keeps a column per fired rule; every other rule has no count
+        assert result.counts.dtype == counts.dtype
+        assert np.array_equal(result.counts, counts[:, ev.fired])
+        assert not np.delete(counts, ev.fired, axis=1).any()
+        assert result.rounds == rounds
+        results.append((result, values, counts[:, ev.fired]))
+    # later calls reuse the evaluator's scratch, never an earlier result's arrays
+    ev.check(ev.rule_ids[:1], LabelSet(frozenset(), frozenset()))
+    for result, values, counts in results:
+        assert result.values.tobytes() == values.tobytes()
+        assert np.array_equal(result.counts, counts)
+    return ev
+
+
+def weight_vectors(rng: random.Random, n_rules: int) -> list[np.ndarray]:
+    """Random weights, and weights on a grid that forces ties between clauses."""
+    return [np.array([rng.random() for _ in range(n_rules)]),
+            np.array([rng.choice(GRID) for _ in range(n_rules)]),
+            np.array([rng.choice(GRID[2:]) for _ in range(n_rules)]),
+            np.ones(n_rules)]
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()

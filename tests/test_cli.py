@@ -10,6 +10,7 @@ from difflog.cli import (EXIT_BAD_INPUT, EXIT_NO_SOLUTION, EXIT_OK, main,
 from difflog.core import (GroundingBudgetError, ground, parse_problem,
                           parse_rules, write_problem)
 from difflog.optimizer import SearchConfig
+from difflog.rulegen import DEFAULT_CAP
 
 SAMEGEN = Path(__file__).resolve().parents[1] / "problems" / "samegen"
 
@@ -116,6 +117,14 @@ def test_eval_unknown_rule_id(family_dir, tmp_path, capsys):
     code = main(["eval", str(family_dir), "--weights", str(weights)])
     assert code == EXIT_BAD_INPUT
     assert "r99" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_repeated_rule_id(family_dir, tmp_path, capsys):
+    weights = tmp_path / "w.tsv"
+    weights.write_text("r1\t0.5\nr1\t0.9\n")
+    code = main(["eval", str(family_dir), "--weights", str(weights)])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: {weights}:2: duplicate weight for rule r1\n"
 
 
 def test_gen_rules_writes_candidates(family_dir, capsys):
@@ -255,6 +264,16 @@ def test_eval_rejects_bad_weight(family_dir, tmp_path, capsys, value, message):
     assert code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert f"{weights}:3:" in err and message in err
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    for argv in (["synth", "p"], ["bench", "m"]):
+        args = parser.parse_args(argv)
+        assert (args.max_iters, args.mcmc_period) == \
+            (SearchConfig.max_iters, SearchConfig.mcmc_period)
+    args = parser.parse_args(["gen-rules", "--problem", "p", "--max-body-len", "1", "--k", "0"])
+    assert args.cap == DEFAULT_CAP
 
 
 def no_traceback_error(err: str) -> bool:

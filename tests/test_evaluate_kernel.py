@@ -3,11 +3,11 @@
 ``Evaluator.evaluate`` runs over ``core.ground``'s conclusion-major clauses,
 the input-only ones alone in its first round, points the -1 pads at a row
 of value 1, and takes a segmented max with the first attaining position as
-the winner.  ``reference_evaluate`` is the
-kernel it replaced: clauses grouped by body length, ``np.maximum.at`` for
-the values and ``np.minimum.at`` for the lowest-index winner, over the
-arrays of ``core.ground``, all in every round.  Values must be bitwise
-equal and counts and rounds equal.
+the winner.  ``strategies.reference_fixpoint`` is the kernel it replaced:
+clauses grouped by body length, a scatter max for the values and a
+scatter min for the lowest-index winner, over the arrays of
+``core.ground``, all in every round.  Values must be bitwise equal and
+counts and rounds equal.
 """
 
 import random
@@ -15,89 +15,9 @@ import random
 import numpy as np
 from hypothesis import given, strategies as st
 
-from difflog.core import Atom, Database, Fact, LabelSet, Rule, ground
+from difflog.core import Atom, Database, Fact, Rule, ground
 from difflog.testkit import ground_clauses
-from difflog.viterbi import Evaluator
-from strategies import SETTINGS, body_groups, instances
-
-GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-def reference_evaluate(grounding, wv: np.ndarray):
-    """Values, counts and rounds of the group-wise max-product fixpoint."""
-    n_facts, n_clauses = len(grounding.facts), len(grounding)
-    groups, concl, clause_rule = body_groups(grounding.cols), grounding.concl, grounding.rule
-    # each clause's group and row there locate its antecedents
-    cgroup = np.empty(n_clauses, dtype=np.int64)
-    crow = np.empty(n_clauses, dtype=np.int64)
-    for g, (pos, _) in enumerate(groups):
-        cgroup[pos] = g
-        crow[pos] = np.arange(len(pos))
-    u = np.zeros(n_facts + 1)
-    u[grounding.input_idx] = 1.0
-    counts = np.zeros((n_facts + 1, len(grounding.rule_ids)), dtype=np.int64)
-
-    vals = np.empty(n_clauses)
-    rounds = 0
-    while True:
-        rounds += 1
-        for pos, ante in groups:
-            group_vals = wv[clause_rule[pos]]
-            for j in range(ante.shape[1]):
-                group_vals = group_vals * u[ante[:, j]]
-            vals[pos] = group_vals
-        best = u.copy()
-        np.maximum.at(best, concl, vals)
-        changed = best > u
-        if not changed.any():
-            break
-        # the lowest-index clause attaining a changed fact's new value wins
-        attain = (vals == best[concl]) & changed[concl]
-        winner = np.full(n_facts + 1, n_clauses, dtype=np.int64)
-        np.minimum.at(winner, concl[attain], np.nonzero(attain)[0])
-        facts = np.nonzero(changed)[0]
-        wins = winner[facts]
-        # a winner's row: its rule once, plus its antecedents' rows of the last round
-        rows = np.zeros((len(facts), len(grounding.rule_ids)), dtype=np.int64)
-        rows[np.arange(len(facts)), clause_rule[wins]] = 1
-        won_groups = cgroup[wins]
-        for g, (_, ante) in enumerate(groups):
-            mine = np.flatnonzero(won_groups == g)
-            for column in ante[crow[wins[mine]]].T:
-                rows[mine] += counts[column]
-        counts[facts] = rows
-        u = best
-    return u, counts, rounds
-
-
-def assert_matches_reference(rules, input: Database, weights) -> Evaluator:
-    ev = Evaluator(rules, input)
-    grounding = ground(ev.rules, input)
-    results = []
-    for wv in weights:
-        result = ev.evaluate(wv)
-        values, counts, rounds = reference_evaluate(grounding, np.asarray(wv, dtype=np.float64))
-        assert result.values.tobytes() == values.tobytes()
-        # the result keeps a column per fired rule; every other rule has no count
-        assert result.counts.dtype == counts.dtype
-        assert np.array_equal(result.counts, counts[:, ev.fired])
-        assert not np.delete(counts, ev.fired, axis=1).any()
-        assert result.rounds == rounds
-        results.append((result, values, counts[:, ev.fired]))
-    # later calls reuse the evaluator's scratch, never an earlier result's arrays
-    ev.check(ev.rule_ids[:1], LabelSet(frozenset(), frozenset()))
-    for result, values, counts in results:
-        assert result.values.tobytes() == values.tobytes()
-        assert np.array_equal(result.counts, counts)
-    return ev
-
-
-def weight_vectors(rng: random.Random, n_rules: int) -> list[np.ndarray]:
-    """Random weights, and weights on a grid that forces ties between clauses."""
-    return [np.array([rng.random() for _ in range(n_rules)]),
-            np.array([rng.choice(GRID) for _ in range(n_rules)]),
-            np.array([rng.choice(GRID[2:]) for _ in range(n_rules)]),
-            np.ones(n_rules)]
+from strategies import SETTINGS, assert_matches_reference, instances, weight_vectors
 
 
 @SETTINGS

@@ -5,8 +5,9 @@
 and ``SearchRunner`` checks each candidate program with ``Evaluator.check``
 on the pool's grounding.  The references are the paths they replaced: a
 full-width evaluator, with a count column per rule from the group-wise
-reference kernel and a row for every label, whose candidate checks ground
-the subset again through ``core.check_solution``.  The search must not tell
+reference kernel ``strategies.reference_fixpoint`` and a row for every
+label, whose candidate checks ground the subset again through
+``core.check_solution``.  The search must not tell
 them apart: traces, outcomes and weight vectors are bitwise equal, and so
 are values, the fired columns of the counts, and the loss gradient at every
 step.
@@ -28,8 +29,7 @@ from difflog.optimizer import (SearchConfig, SearchRunner, clamp, loss_gradient,
                                separation_check)
 from difflog.testkit import encode_3cnf, parse_dimacs
 from difflog.viterbi import Evaluator
-from strategies import SETTINGS, instances
-from test_evaluate_kernel import reference_evaluate
+from strategies import SETTINGS, bits, instances, reference_fixpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,7 +52,7 @@ class FullWidthEvaluator:
         return np.array(rows, dtype=np.int64), len(labels.positive)
 
     def evaluate(self, wv: np.ndarray):
-        values, counts, rounds = reference_evaluate(self.grounding, wv)
+        values, counts, rounds = reference_fixpoint(self.grounding, wv)
         return SimpleNamespace(values=values, counts=counts, rounds=rounds, evaluator=self)
 
     def check(self, rule_ids, labels: LabelSet):
@@ -73,10 +73,6 @@ def padded(problem, rng: random.Random):
         rules.insert(rng.randint(0, len(rules)), Rule(f"pad{k}", renamed, body))
     relations = {**problem.relations, "ghost": RelationDecl("ghost", arity, "input")}
     return problem._replace(relations=relations, rules=CandidateRuleSet(rules))
-
-
-def bits(x) -> bytes:
-    return np.asarray(x, dtype=np.float64).tobytes()
 
 
 def assert_same_evaluation(narrow: Evaluator, full: FullWidthEvaluator, w, labels) -> None:

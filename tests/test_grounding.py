@@ -14,7 +14,6 @@ hash, and a clause budget stops a grounding that grows past it.
 import hashlib
 import random
 import re
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +21,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from difflog import core
-from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
+from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact, Grounding,
                           GroundingBudgetError, LabelSet, ProblemError,
                           RelationDecl, Rule, SemanticError, boolean_fixpoint,
                           check_solution, ground, parse_problem, validate_rule)
 from difflog.testkit import (ground_clauses, naive_fixpoint, naive_ground,
                              random_weights)
 from difflog.viterbi import Evaluator
-from strategies import SETTINGS, body_groups, instances, shared_shapes
+from strategies import (GRID, SETTINGS, instances, provenance_view, reference_fixpoint,
+                        shared_shapes)
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -51,101 +51,55 @@ def oracle_clauses(rules, input: Database):
     return facts, clauses
 
 
-def clause_arrays(clauses, fact_pos, rule_pos) -> dict[str, np.ndarray]:
-    """``concl``, ``rule`` and the -1-padded ``cols`` of ``clauses``, in their order."""
+def clause_grounding(facts, input: Database, rule_ids, clauses) -> Grounding:
+    """``clauses``, in their order, as a ``Grounding`` over the sorted ``facts``."""
+    fact_pos = {f: i for i, f in enumerate(facts)}
+    rule_pos = {rid: i for i, rid in enumerate(rule_ids)}
     cols = np.full((max((len(c.antecedents) for c in clauses), default=0), len(clauses)), -1,
                    dtype=np.intp)
     for i, c in enumerate(clauses):
         cols[:len(c.antecedents), i] = [fact_pos[a] for a in c.antecedents]
-    return {
-        "concl": np.array([fact_pos[c.conclusion] for c in clauses], dtype=np.int64),
-        "rule": np.array([rule_pos[c.rule_id] for c in clauses], dtype=np.int64),
-        "cols": cols,
-    }
+    return Grounding(
+        facts, np.array(sorted(fact_pos[f] for f in input.facts()), dtype=np.int64),
+        tuple(rule_ids),
+        concl=np.array([fact_pos[c.conclusion] for c in clauses], dtype=np.int64),
+        rule=np.array([rule_pos[c.rule_id] for c in clauses], dtype=np.int64),
+        cols=cols)
 
 
 def oracle_arrays(rules: CandidateRuleSet, input: Database):
-    """Every naive clause with its arrays, and the clauses and arrays ``ground`` keeps."""
+    """The ``Grounding`` of every naive clause, and the clauses and ``Grounding``
+    that ``ground`` keeps."""
     facts, clauses = oracle_clauses(rules, input)
-    fact_pos = {f: i for i, f in enumerate(facts)}
-    rule_pos = {rid: i for i, rid in enumerate(rules.ids())}
     kept = [c for c in clauses if not is_self_loop(c)]
-    return {
-        "facts": facts,
-        "input_idx": np.array(sorted(fact_pos[f] for f in input.facts()), dtype=np.int64),
-        **clause_arrays(clauses, fact_pos, rule_pos),
-        "clauses": clauses,
-        "kept": kept,
-        "ground": clause_arrays(kept, fact_pos, rule_pos),
-    }
+    return {"naive": clause_grounding(facts, input, rules.ids(), clauses),
+            "kept": kept,
+            "ground": clause_grounding(facts, input, rules.ids(), kept)}
 
 
 def same_array(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def reference_evaluate(oracle, rule_ids, w):
-    """Max-product fixpoint with Counter provenance over every naive GroundClause.
-
-    Returns the value of every fact, the provenance of each fact with a
-    value, and the rounds.
-    """
-    facts, clauses = oracle["facts"], oracle["clauses"]
-    fact_pos = {f: i for i, f in enumerate(facts)}
-    wv = np.array([w[rid] for rid in rule_ids], dtype=np.float64)
-    u = np.zeros(len(facts))
-    u[oracle["input_idx"]] = 1.0
-    prov = {int(i): Counter() for i in oracle["input_idx"]}
-    vals = np.empty(len(clauses))
-    rounds = 0
-    while True:
-        rounds += 1
-        for pos, ante in body_groups(oracle["cols"]):
-            group_vals = wv[oracle["rule"][pos]]
-            for j in range(ante.shape[1]):
-                group_vals = group_vals * u[ante[:, j]]
-            vals[pos] = group_vals
-        best = u.copy()
-        np.maximum.at(best, oracle["concl"], vals)
-        changed = best > u
-        if not changed.any():
-            break
-        attain = (vals == best[oracle["concl"]]) & changed[oracle["concl"]]
-        winner = np.full(len(facts), len(clauses), dtype=np.int64)
-        np.minimum.at(winner, oracle["concl"][attain], np.nonzero(attain)[0])
-        new_prov = {}
-        for fi in np.nonzero(changed)[0]:
-            clause = clauses[int(winner[fi])]
-            counts = Counter({clause.rule_id: 1})
-            for a in clause.antecedents:
-                counts.update(prov[fact_pos[a]])
-            new_prov[int(fi)] = counts
-        prov.update(new_prov)
-        u = best
-    provenance = {facts[i]: {r: c for r, c in prov[i].items() if c}
-                  for i in range(len(facts)) if u[i] > 0.0}
-    return u, provenance, rounds
-
-
 def assert_matches_oracle(rules: CandidateRuleSet, input: Database, oracle, weights) -> None:
     """The kernel arrays equal ``oracle``'s less the self-loops, and Evaluator values,
     provenance and rounds equal the reference's over every naive clause."""
-    grounding = ground(rules, input)
-    assert grounding.facts == oracle["facts"]
-    assert same_array(grounding.input_idx, oracle["input_idx"])
-    assert same_array(grounding.concl, oracle["ground"]["concl"])
-    assert same_array(grounding.rule, oracle["ground"]["rule"])
-    assert same_array(grounding.cols, oracle["ground"]["cols"])
+    grounding, expected = ground(rules, input), oracle["ground"]
+    assert (grounding.facts, grounding.rule_ids) == (expected.facts, expected.rule_ids)
+    for name in ("input_idx", "concl", "rule", "cols"):
+        assert same_array(getattr(grounding, name), getattr(expected, name))
     assert grounding.cols.flags.c_contiguous
+    naive = oracle["naive"]
     ev = Evaluator(rules, input)
     for w in weights:
         result = ev.evaluate(w)
-        u, provenance, rounds = reference_evaluate(oracle, ev.rule_ids, w)
+        values, counts, rounds = reference_fixpoint(
+            naive, np.array([w[rid] for rid in naive.rule_ids], dtype=np.float64))
+        value, provenance = provenance_view(naive, values, counts)
         # bitwise, and the zero row of facts outside the grounding stays 0
-        assert result.values.tobytes() == np.append(u, 0.0).tobytes()
-        assert {f: v for f in oracle["facts"] if (v := result.value_of(f)) > 0.0} == \
-            {f: float(v) for f, v in zip(oracle["facts"], u) if v > 0.0}
-        assert {t: p for t in oracle["facts"]
+        assert result.values.tobytes() == values.tobytes()
+        assert {f: v for f in naive.facts if (v := result.value_of(f)) > 0.0} == value
+        assert {t: p for t in naive.facts
                 if (p := result.provenance_of(t)) is not None} == provenance
         assert not result.counts[result.values == 0.0].any()
         assert result.rounds == rounds
@@ -187,9 +141,11 @@ def test_check_solution_matches_naive_on_rule_subsets(problem, rng):
 @SETTINGS
 @given(instances(), st.randoms(use_true_random=False))
 def test_evaluator_matches_build_from_naive_clauses(problem, rng):
+    """Random weights, all 1 and the 3-point grid against the naive clauses."""
+    ids = problem.rules.ids()
     weights = [random_weights(rng, problem.rules) for _ in range(2)]
-    weights.append({rid: 1.0 for rid in problem.rules.ids()})
-    weights.append({rid: rng.choice((0.0, 0.5, 1.0)) for rid in problem.rules.ids()})
+    weights += [dict.fromkeys(ids, 1.0),
+                {rid: rng.choice(GRID[::2]) for rid in ids}]
     assert_matches_oracle(problem.rules, problem.input,
                           oracle_arrays(problem.rules, problem.input), weights)
 
@@ -201,7 +157,7 @@ def test_pruned_evaluator_matches_unpruned_reference(problem, rng):
     uniform and tie-forcing grid weights, all 0 and all 1."""
     ids = problem.rules.ids()
     weights = [{rid: rng.random() for rid in ids},
-               {rid: rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) for rid in ids},
+               {rid: rng.choice(GRID) for rid in ids},
                dict.fromkeys(ids, 0.0),
                dict.fromkeys(ids, 1.0)]
     assert_matches_oracle(problem.rules, problem.input,
@@ -293,7 +249,7 @@ def test_golden_problem_matches_naive(name):
     oracle = oracle_arrays(problem.rules, problem.input)
     assert triples(ground_clauses(ground(problem.rules, problem.input))) == \
         triples(oracle["kept"])
-    assert len(oracle["kept"]) < len(oracle["clauses"])
+    assert len(oracle["kept"]) < len(oracle["naive"])
     rng = random.Random(name)
     assert_matches_oracle(problem.rules, problem.input, oracle,
                           [random_weights(rng, problem.rules, 0.25, 0.75)])

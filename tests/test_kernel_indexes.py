@@ -3,9 +3,9 @@
 ``Evaluator`` multiplies each distinct (rule, first antecedent) pair once
 per round, finds winners through each clause's conclusion row into an owned
 mask, and stops after a round that changes only facts that no clause
-reads.  The group-wise reference of ``test_evaluate_kernel`` runs every
-round in full, so equal values, counts and rounds show that the idle-round
-stop is exact.  samegen numbers its pairs with the dense table, the 3-CNF
+reads.  The group-wise reference, ``strategies.reference_fixpoint``, runs
+every round in full, so equal values, counts and rounds show that the
+idle-round stop is exact.  samegen numbers its pairs with the dense table, the 3-CNF
 pool with ``np.unique``.
 """
 
@@ -19,7 +19,7 @@ from difflog.core import Database, Fact, ground, parse_problem, parse_rules
 from difflog.optimizer import clamp
 from difflog.testkit import encode_3cnf, parse_dimacs
 from difflog.viterbi import Evaluator
-from test_evaluate_kernel import assert_matches_reference, weight_vectors
+from strategies import assert_matches_reference, weight_vectors
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMEGEN = ROOT / "problems" / "samegen"

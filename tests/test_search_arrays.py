@@ -3,87 +3,33 @@
 ``Evaluator.evaluate`` builds the provenance count matrix with array
 operations, and ``loss``, ``loss_gradient``, ``separation_check``,
 ``newton_step`` and ``mcmc_propose`` are array expressions over it.  The
-references below are the dict-of-Counter implementations they replaced,
-kept verbatim in their arithmetic.  Values, counts and verdicts must be
-equal, and every float that can reach ``trace.tsv`` must be bitwise equal.
+evaluation is compared with ``strategies.reference_fixpoint``, whose
+values and counts ``strategies.provenance_view`` reads as Fact-keyed
+dicts; the other references below are the dict implementations they
+replaced, kept verbatim in their arithmetic.  Values, counts and verdicts
+must be equal, and every float that can reach ``trace.tsv`` must be
+bitwise equal.
 """
 
 import math
 import random
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from difflog.core import (Atom, CandidateRuleSet, Database, Fact, Grounding,
-                          LabelSet, Problem, RelationDecl, Rule, ground,
-                          parse_problem)
+from difflog.core import (Atom, CandidateRuleSet, Database, Fact, LabelSet,
+                          Problem, RelationDecl, Rule, ground, parse_problem)
 from difflog.optimizer import (ZeroGradientError, clamp, loss, loss_gradient,
                                mcmc_propose, newton_step, separation_check)
 from difflog.testkit import encode_3cnf, parse_dimacs, random_weights
 from difflog.viterbi import Evaluator
-from strategies import SETTINGS, body_groups, instances
+from strategies import (SETTINGS, bits, instances, provenance_view,
+                        reference_fixpoint)
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data" / "synth"
-
-
-def reference_evaluate(grounding: Grounding, w: dict[str, float]):
-    """Max-product fixpoint over ``core.ground``'s clause arrays, merging Counters per fact."""
-    wv = np.array([w[rid] for rid in grounding.rule_ids], dtype=np.float64)
-    n_facts, n_clauses = len(grounding.facts), len(grounding)
-    groups = body_groups(grounding.cols)
-    # each clause's group and row there locate its antecedents
-    cgroup = np.empty(n_clauses, dtype=np.int64)
-    crow = np.empty(n_clauses, dtype=np.int64)
-    for g, (pos, _) in enumerate(groups):
-        cgroup[pos] = g
-        crow[pos] = np.arange(len(pos))
-    u = np.zeros(n_facts)
-    u[grounding.input_idx] = 1.0
-    prov: dict[int, Counter] = {int(i): Counter() for i in grounding.input_idx}
-    vals = np.empty(n_clauses)
-    rounds = 0
-    while True:
-        rounds += 1
-        for pos, ante in groups:
-            group_vals = wv[grounding.rule[pos]]
-            for j in range(ante.shape[1]):
-                group_vals = group_vals * u[ante[:, j]]
-            vals[pos] = group_vals
-        best = u.copy()
-        np.maximum.at(best, grounding.concl, vals)
-        changed = best > u
-        if not changed.any():
-            break
-        attain = (vals == best[grounding.concl]) & changed[grounding.concl]
-        winner = np.full(n_facts, n_clauses, dtype=np.int64)
-        np.minimum.at(winner, grounding.concl[attain], np.nonzero(attain)[0])
-        new_prov: dict[int, Counter] = {}
-        facts = np.nonzero(changed)[0]
-        wins = winner[facts]
-        won_groups = cgroup[wins]
-        for g, (_, ante) in enumerate(groups):
-            mine = won_groups == g
-            won = wins[mine]
-            for fi, r, ants in zip(facts[mine].tolist(), grounding.rule[won].tolist(),
-                                   ante[crow[won]].tolist()):
-                counts = Counter({grounding.rule_ids[r]: 1})
-                for a in ants:
-                    counts.update(prov[a])
-                new_prov[fi] = counts
-        prov.update(new_prov)
-        u = best
-
-    value: dict[Fact, float] = {}
-    provenance: dict[Fact, dict[str, int]] = {}
-    for i, fact in enumerate(grounding.facts):
-        if u[i] > 0.0:
-            value[fact] = float(u[i])
-            provenance[fact] = {r: c for r, c in prov[i].items() if c}
-    return value, provenance, rounds
 
 
 def reference_loss(value, labels: LabelSet) -> float:
@@ -146,10 +92,6 @@ def reference_mcmc_propose(w, rng: random.Random):
     return proposal
 
 
-def bits(x) -> bytes:
-    return np.asarray(x, dtype=np.float64).tobytes()
-
-
 def with_absent_labels(problem, rng: random.Random) -> LabelSet:
     """The problem's labels plus tuples over a constant no rule or fact mentions."""
     labels = problem.labels
@@ -182,18 +124,15 @@ def test_search_core_matches_counter_reference(problem, rng):
     for w in weight_maps(rng, ev.rule_ids):
         wv = np.array([w[rid] for rid in ev.rule_ids])
         result = ev.evaluate(wv)
-        value, provenance, rounds = reference_evaluate(grounding, w)
+        values, counts, rounds = reference_fixpoint(grounding, wv)
+        value, provenance = provenance_view(grounding, values, counts)
 
         assert result.rounds == rounds
         assert {t: v for t in grounding.facts if (v := result.value_of(t)) > 0.0} == value
         assert {t: p for t in grounding.facts
                 if (p := result.provenance_of(t)) is not None} == provenance
-        expected = np.zeros((len(result.counts), len(ev.rule_ids)), dtype=result.counts.dtype)
-        for t, counts in provenance.items():
-            for rid, c in counts.items():
-                expected[ev.row_of(t), ev.rule_ids.index(rid)] = c
-        assert np.array_equal(result.counts, expected[:, ev.fired])
-        assert not np.delete(expected, ev.fired, axis=1).any()
+        assert np.array_equal(result.counts, counts[:, ev.fired])
+        assert not np.delete(counts, ev.fired, axis=1).any()
         assert not result.values[-1] and not result.counts[-1].any()
 
         assert bits(loss(result, labels)) == bits(reference_loss(value, labels))
@@ -227,7 +166,8 @@ def assert_search_path_matches(problem, rng: random.Random) -> None:
     wv = clamp(np.array([w[rid] for rid in ev.rule_ids]))
     w = dict(zip(ev.rule_ids, wv.tolist()))
     result = ev.evaluate(wv)
-    value, provenance, _ = reference_evaluate(ground(problem.rules, problem.input), w)
+    grounding = ground(problem.rules, problem.input)
+    value, provenance = provenance_view(grounding, *reference_fixpoint(grounding, wv)[:2])
     assert bits(loss(result, problem.labels)) == bits(reference_loss(value, problem.labels))
     ref_grad = reference_loss_gradient(value, provenance, ev.rule_ids, w, problem.labels)
     assert bits(loss_gradient(result, wv, problem.labels)) == \

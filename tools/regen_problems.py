@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from difflog.core import (Database, Fact, LabelSet, Rule, boolean_fixpoint, format_rule,
                           parse_relations, parse_rule_line, write_problem)
-from difflog.rulegen import _canonical_key, augment, chain_seeds
+from difflog.rulegen import augment, canonicalize, chain_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,8 +55,9 @@ def candidate_rules(decls, keep) -> list[Rule]:
 def write_problem_dir(name: str, relations_text: str, facts: list[Fact],
                       targets: list[Rule], rules: list[Rule],
                       heldout_facts: list[Fact]) -> None:
-    keys = {_canonical_key(r) for r in rules}
-    missing = [format_rule(t) for t in targets if _canonical_key(t) not in keys]
+    keys = {(c.head, c.body) for c in map(canonicalize, rules)}
+    missing = [format_rule(t) for t, c in zip(targets, map(canonicalize, targets))
+               if (c.head, c.body) not in keys]
     if missing:
         raise SystemExit(f"{name}: target rules missing from candidates: {missing}")
 
