@@ -21,7 +21,8 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -104,6 +105,13 @@ class Const:
 class Atom:
     relation: str
     args: tuple  # of variable names (str) or Const
+    # the variables, read once per object: the rule reader shares one Atom
+    # per distinct atom text.  Set on construction, as a field, because a
+    # value added later to an instance's __dict__ slows reading its fields
+    variable_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "variable_set", frozenset(self.variables()))
 
     def variables(self) -> Iterator[str]:
         for a in self.args:
@@ -146,10 +154,12 @@ def validate_rule(rule: Rule, decls: Mapping[str, RelationDecl]) -> None:
                 f"rule {rule.id}: {atom.relation} expects {decl.arity} args, got {len(atom.args)}")
     if decls[rule.head.relation].kind != OUTPUT:
         raise SemanticError(f"rule {rule.id}: head relation {rule.head.relation} is not an output relation")
-    body_vars = {v for atom in rule.body for v in atom.variables()}
-    for v in rule.head.variables():
-        if v not in body_vars:
-            raise SemanticError(f"rule {rule.id}: head variable {v} not bound in body")
+    unbound = rule.head.variable_set
+    for atom in rule.body:
+        unbound = unbound.difference(atom.variable_set)
+    if unbound:
+        v = next(v for v in rule.head.variables() if v in unbound)
+        raise SemanticError(f"rule {rule.id}: head variable {v} not bound in body")
 
 
 class Database:
@@ -956,6 +966,73 @@ def parse_relations(text: str, path=None) -> dict[str, RelationDecl]:
     return decls
 
 
+# A .facts or label file holds one tuple per line, as tab-separated fields
+# stripped of surrounding whitespace; a line that is blank or starts with "#"
+# is skipped.  A label line's first field names its relation.
+#
+# Clean text is read a file at a time.  It is ASCII, with no "#", no
+# whitespace but tabs and newlines, and no line that is empty or starts with
+# a tab, so no blank line; the writers here, ``encode-3cnf`` and the
+# benchmark's generators all write it.  It is split into fields once and read
+# as blocks of consecutive lines with one field count (in a label file sorted
+# by relation, a block per arity).  Each block is checked column by column:
+# its field count against the relation's arity and, in a label file, the set
+# of names in its first column against the declared output relations of that
+# arity.  The facts are built from the columns with ``map`` and ``zip``, in
+# line order.  Other text, and clean text that fails a check, is read a line
+# at a time by ``_rows``, which also finds the line of an error; so both ways
+# give the same facts and the same errors.
+
+_UNCLEAN = (" ", "#", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\n\n", "\n\t")
+
+
+def _blocks(text: str) -> list[tuple[int, list[str]]] | None:
+    """Clean text as blocks of consecutive lines with the same number of
+    fields: each block's field count and fields, in reading order.  None for
+    text that is not clean."""
+    if (not text.isascii() or text.startswith(("\n", "\t"))
+            or any(map(text.__contains__, _UNCLEAN))):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    fields = "\t".join(lines).split("\t")
+    blocks, at = [], 0
+    for tabs, run in groupby(map(str.count, lines, repeat("\t"))):
+        end = at + (tabs + 1) * len(list(run))
+        blocks.append((tabs + 1, fields[at:end]))
+        at = end
+    return blocks
+
+
+def _columns(names: Iterable[str], fields: list[str], width: int, first: int) -> list[Fact]:
+    """One fact per ``width`` fields, named by ``names``, with the fields from
+    position ``first`` on as its arguments.  ``tuple.__new__`` makes each
+    without a Python call to ``Fact.__new__``."""
+    args = zip(*(fields[i::width] for i in range(first, width)))
+    return list(map(tuple.__new__, repeat(Fact), zip(names, args)))
+
+
+def _clean_labels(text: str, decls: Mapping[str, RelationDecl]) -> list[Fact] | None:
+    """The labels of clean text; None for other text, or if some line does
+    not name a declared output relation of its field count less one."""
+    blocks = _blocks(text)
+    if blocks is None:
+        return None
+    facts = []
+    for width, fields in blocks:
+        names = fields[::width]
+        # each fact shares its declaration's name, as a line-at-a-time read does
+        relation = {}
+        for name in set(names):
+            decl = decls.get(name)
+            if decl is None or decl.kind != OUTPUT or decl.arity != width - 1:
+                return None
+            relation[name] = decl.name
+        facts += _columns(map(relation.__getitem__, names), fields, width, 1)
+    return facts
+
+
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """The stripped tab-separated fields of each line that is not blank or a comment."""
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -971,10 +1048,18 @@ def _fact(decl: RelationDecl, fields: list[str], path, lineno: int) -> Fact:
 
 
 def parse_fact_lines(text: str, decl: RelationDecl, path=None) -> list[Fact]:
+    blocks = _blocks(text)
+    if blocks is not None and all(width == decl.arity for width, _ in blocks):
+        # lines of one width make one block, or none in an empty file
+        fields = blocks[0][1] if blocks else []
+        return _columns(repeat(decl.name), fields, decl.arity, 0)
     return [_fact(decl, fields, path, lineno) for lineno, fields in _rows(text)]
 
 
 def parse_label_lines(text: str, decls: Mapping[str, RelationDecl], path=None) -> list[Fact]:
+    facts = _clean_labels(text, decls)
+    if facts is not None:
+        return facts
     facts = []
     for lineno, (name, *fields) in _rows(text):
         decl = decls.get(name)
@@ -987,9 +1072,10 @@ def parse_label_lines(text: str, decls: Mapping[str, RelationDecl], path=None) -
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of an input file; ProblemError naming ``path`` if it cannot be read."""
+    """The UTF-8 text of an input file, without a leading byte-order mark;
+    ProblemError naming ``path`` if it cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -1039,17 +1125,25 @@ def parse_problem(directory: str | Path, rules: str | Path | None = None) -> Pro
 
 def _lines(items: Iterable, to_line, read) -> list[str]:
     """The line of each item; ProblemError naming the first item whose line
-    ``read`` would not read back as ``[item]``."""
-    lines = []
-    for item in items:
-        line = to_line(item)
+    ``read`` would not read back as ``[item]``.
+
+    The lines are read back together first.  A reader yields only items
+    whose own line reads back as themselves, so if the whole text reads back
+    as ``items``, every line does; else each line is read alone."""
+    items = list(items)
+    lines = [to_line(item) for item in items]
+    try:
+        if read(_text(lines)) == items:
+            return lines
+    except ParseError:
+        pass
+    for item, line in zip(items, lines):
         try:
             same = read(line) == [item]
         except ParseError:
             same = False
         if not same:
             raise ProblemError(f"cannot write {item!r}: its line {line!r} reads back differently")
-        lines.append(line)
     return lines
 
 

@@ -7,15 +7,16 @@ from dataclasses import make_dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from difflog import core
 from difflog.core import (Atom, CandidateRuleSet, Const, Database, Fact,
-                          LabelSet, ParseError, ProblemError, Rule, SemanticError,
-                          boolean_fixpoint, check_solution, format_rule,
-                          ground, parse_fact_lines, parse_problem,
+                          LabelSet, ParseError, ProblemError, RelationDecl, Rule,
+                          SemanticError, boolean_fixpoint, check_solution, format_rule,
+                          ground, parse_fact_lines, parse_label_lines, parse_problem,
                           parse_relations, parse_rule_line, parse_rules,
                           validate_rule, write_problem, write_rules)
-from difflog.testkit import ground_clauses
+from difflog.testkit import encode_3cnf, ground_clauses, parse_dimacs
 from conftest import PARENT_PAIRS, make_family_rules
 from strategies import SETTINGS, instances
 
@@ -499,6 +500,163 @@ def test_parse_fact_lines_arity_check(family_decls):
         parse_fact_lines("Will\n", family_decls["parent"])
 
 
+def reference_fields(text: str):
+    """Each line's stripped tab-separated fields, a line at a time, skipping
+    blanks and comments: the readers' result on any text."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, [f.strip() for f in line.split("\t")]
+
+
+def reference_fact(decl: RelationDecl, fields: list[str], lineno: int) -> Fact:
+    if len(fields) != decl.arity:
+        raise ParseError(f"{decl.name} has arity {decl.arity}, got {len(fields)} fields",
+                         "f.txt", lineno)
+    return Fact(decl.name, tuple(fields))
+
+
+def reference_fact_lines(text: str, decl: RelationDecl) -> list[Fact]:
+    return [reference_fact(decl, fields, lineno) for lineno, fields in reference_fields(text)]
+
+
+def reference_label_lines(text: str, decls) -> list[Fact]:
+    facts = []
+    for lineno, (name, *fields) in reference_fields(text):
+        decl = decls.get(name)
+        if decl is None:
+            raise ParseError(f"undeclared relation {name}", "f.txt", lineno)
+        if decl.kind != "output":
+            raise ParseError(f"labeled relation {name} is not an output relation", "f.txt", lineno)
+        facts.append(reference_fact(decl, fields, lineno))
+    return facts
+
+
+LABEL_DECLS = parse_relations("input parent 2\noutput samegen 2\noutput tri 3\noutput one 1\n")
+_NOISE = "ab\t\n #\r\x0b\x1c\x85é"
+
+
+@st.composite
+def tuple_files(draw, names: list[str], slips: bool) -> str:
+    """Lines of tab-separated fields, led by one of ``names`` if there are
+    any, and a final newline or not.  With ``slips``, a line has a field too
+    many or too few now and then, and blank, tab-only and noisy lines stand
+    between them."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "noise"])) if slips else "row"
+        if kind == "row":
+            name = draw(st.sampled_from(names)) if names else None
+            arity = LABEL_DECLS[name].arity if name in LABEL_DECLS else 2
+            if slips:
+                arity += draw(st.sampled_from([0] * 8 + [-1, 1]))
+            fields = draw(st.lists(st.text(alphabet="ab", min_size=1, max_size=3),
+                                   min_size=max(arity, 0), max_size=max(arity, 0)))
+            line = "\t".join(([name] if name else []) + fields)
+        elif kind == "blank":
+            line = draw(st.text(alphabet="\t", max_size=2))
+        else:
+            line = draw(st.text(alphabet=_NOISE, max_size=8))
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _texts(names: list[str], good: list[str]):
+    """Fact or label files: led by ``names`` with slips, by ``good`` without,
+    or any text over letters, tabs and newlines, or over noise too."""
+    return st.one_of(tuple_files(names, True), tuple_files(good, False),
+                     st.text(alphabet="ab\t\n", max_size=20), st.text(alphabet=_NOISE, max_size=20))
+
+
+def assert_reads_like_the_reference(read, reference, text: str) -> None:
+    """The same facts, each a ``Fact`` that shares its declaration's name, or
+    the same error."""
+    got = outcome(read, text)
+    assert got == outcome(reference, text)
+    if isinstance(got, list):
+        assert all(type(f) is Fact and f.relation is LABEL_DECLS[f.relation].name for f in got)
+
+
+@SETTINGS
+@given(_texts([], []))
+@example("a\tb\n\t\nc\td\n")
+@example("\t\na\tb")
+@example("a\tb\n\n")
+@example("a\tb\n\x1fc\td\n")
+@example("a\tb\n#c\td")
+@example("\xe9\tb\n")
+def test_fact_reader_matches_the_per_line_reference(text):
+    decl = LABEL_DECLS["parent"]
+    assert_reads_like_the_reference(lambda t: parse_fact_lines(t, decl, "f.txt"),
+                                    lambda t: reference_fact_lines(t, decl), text)
+
+
+@SETTINGS
+@given(_texts(["samegen"] * 3 + ["tri", "one"] * 2 + ["parent", "zz"], ["samegen", "tri", "one"]))
+@example("one\ta\n\t\t\none\tb")
+@example("one\ta\nsamegen\ta\tb\none\tb\ntri\ta\tb\tc\n")
+def test_label_reader_matches_the_per_line_reference(text):
+    assert_reads_like_the_reference(lambda t: parse_label_lines(t, LABEL_DECLS, "f.txt"),
+                                    lambda t: reference_label_lines(t, LABEL_DECLS), text)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("samegen\ta", "f.txt:3: samegen has arity 2, got 1 fields"),
+    ("samegen\ta\tb\tc", "f.txt:3: samegen has arity 2, got 3 fields"),
+    ("tri\ta\tb", "f.txt:3: tri has arity 3, got 2 fields"),
+    ("zz\ta\tb", "f.txt:3: undeclared relation zz"),
+    ("parent\ta\tb", "f.txt:3: labeled relation parent is not an output relation"),
+])
+def test_a_bad_line_in_the_middle_of_a_clean_file_is_named(bad, error):
+    good = ["samegen\ta\tb", "samegen\tb\tc", "samegen\tc\td", "samegen\td\te"]
+    text = "\n".join([*good[:2], bad, *good[2:]]) + "\n"
+    with pytest.raises(ParseError) as info:
+        parse_label_lines(text, LABEL_DECLS, "f.txt")
+    assert str(info.value) == error
+    facts = "".join(line.split("\t", 1)[1] + "\n" for line in [*good[:2], bad, *good[2:]])
+    assert outcome(lambda t: parse_fact_lines(t, LABEL_DECLS["parent"], "f.txt"), facts) == \
+        outcome(lambda t: reference_fact_lines(t, LABEL_DECLS["parent"]), facts)
+
+
+def refuse_per_line_scan(text):
+    raise AssertionError("read a line at a time")
+
+
+@pytest.mark.parametrize("name", ["samegen", "andersen"])
+def test_golden_problems_are_read_a_file_at_a_time(name, monkeypatch):
+    directory = Path(__file__).resolve().parents[1] / "problems" / name
+    problem = parse_problem(directory)
+    monkeypatch.setattr(core, "_rows", refuse_per_line_scan)
+    again = parse_problem(directory)
+    assert (again.input, again.labels) == (problem.input, problem.labels)
+    assert len(again.input) and again.labels.positive and again.labels.negative
+
+
+def test_encoded_3cnf_is_read_a_file_at_a_time(tmp_path, monkeypatch):
+    """Its labels.pos holds labels of arity 1 and 3."""
+    path = Path(__file__).resolve().parent / "data" / "synth" / "cnf4" / "formula.cnf"
+    problem = encode_3cnf(parse_dimacs(path.read_text()))
+    write_problem(tmp_path, problem.relations, problem.input, problem.labels, problem.rules)
+    monkeypatch.setattr(core, "_rows", refuse_per_line_scan)
+    again = parse_problem(tmp_path)
+    assert (again.input, again.labels) == (problem.input, problem.labels)
+
+
+def test_a_byte_order_mark_is_not_read_as_data(tmp_path, family_problem):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    write_problem(plain, family_problem.relations, family_problem.input,
+                  family_problem.labels, family_problem.rules)
+    marked.mkdir()
+    for path in plain.iterdir():
+        (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert sorted(p.name for p in marked.iterdir()) == [
+        "labels.neg", "labels.pos", "parent.facts", "relations.txt", "rules.dl"]
+    got, want = parse_problem(marked), parse_problem(plain)
+    assert got.relations == want.relations
+    assert got.input == want.input == family_problem.input
+    assert got.labels == want.labels
+    assert got.rules.rules == want.rules.rules
+
+
 def test_problem_round_trip(tmp_path, family_problem):
     write_problem(tmp_path, family_problem.relations, family_problem.input,
                   family_problem.labels, family_problem.rules)
@@ -577,6 +735,64 @@ def test_writers_refuse_a_rule_that_reads_back_differently(tmp_path, family_prob
         write_problem(tmp_path / "p", family_problem.relations, family_problem.input,
                       family_problem.labels, [rule])
     assert not (tmp_path / "rules.dl").exists() and not (tmp_path / "p").exists()
+
+
+def reference_lines(items, to_line, read) -> list[str]:
+    """The writers' check, one line at a time."""
+    lines = []
+    for item in items:
+        line = to_line(item)
+        try:
+            same = read(line) == [item]
+        except ParseError:
+            same = False
+        if not same:
+            raise ProblemError(f"cannot write {item!r}: its line {line!r} reads back differently")
+        lines.append(line)
+    return lines
+
+
+def write_outcome(check, items, to_line, read):
+    try:
+        return check(items, to_line, read)
+    except ProblemError as exc:
+        return str(exc)
+
+
+@st.composite
+def written_tuples(draw) -> list[tuple[str, list[str]]]:
+    """(relation, fields) pairs.  A pair has as many fields as its relation's
+    arity (2 if undeclared), now and then one more or less.  In about half
+    the lists a field is now and then noisy."""
+    noisy = draw(st.booleans())
+    tuples = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(["samegen", "tri", "one"] * 2 + ["parent", "zz"]))
+        arity = LABEL_DECLS[name].arity if name in LABEL_DECLS else 2
+        arity = max(1, arity + draw(st.sampled_from([0] * 8 + [-1, 1])))
+        field = st.text(alphabet="ab", min_size=1, max_size=3)
+        if noisy:
+            field = st.one_of(*[field] * 4, st.text(alphabet=_NOISE + '#"', max_size=3))
+        tuples.append((name, draw(st.lists(field, min_size=arity, max_size=arity))))
+    return tuples
+
+
+@SETTINGS
+@given(written_tuples(), st.lists(st.tuples(st.sampled_from(["r1", "r2", "r 3"]), _args), max_size=4))
+def test_writers_check_lines_together_like_one_at_a_time(tuples, rules):
+    """The writers read their lines back as one text first; they refuse the
+    same item, or accept the same lines, as a check of each line alone."""
+    facts = [Fact("parent", tuple(args)) for _, args in tuples]
+    labels = [Fact(name, tuple(args)) for name, args in tuples]
+    rule_list = [Rule(i, Atom("q", tuple(args)), (Atom("p", ("x",)),)) for i, args in rules]
+    for items, to_line, read in (
+            (facts, lambda f: "\t".join(f.args),
+             lambda t: parse_fact_lines(t, LABEL_DECLS["parent"])),
+            (labels, lambda f: "\t".join((f.relation, *f.args)),
+             lambda t: parse_label_lines(t, LABEL_DECLS)),
+            (rule_list, format_rule, parse_rules)):
+        assert write_outcome(core._lines, items, to_line, read) == \
+            write_outcome(reference_lines, items, to_line, read)
 
 
 def test_duplicate_rule_id_names_its_line(tmp_path, family_problem):
